@@ -122,5 +122,5 @@ def two_value_approx(inst: Instance) -> Allocation:
     if inst.m < inst.n:
         raise GoodsFewerThanAgentsError(f"need m >= n, got m={inst.m}, n={inst.n}")
     big = solve_dichotomous(inst)
-    full = phase2_assign_small(inst, big.as_allocation())
+    full = phase2_assign_small(inst, big)
     return phase3_local_search(inst, full, strict_properties=True)

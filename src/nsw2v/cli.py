@@ -8,6 +8,7 @@ reduction asked for outside its parameter range.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from fractions import Fraction
@@ -137,6 +138,7 @@ def _cmd_verify_lp(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="nsw2v",

@@ -97,6 +97,11 @@ class Allocation:
     def n(self) -> int:
         return len(self.bundles)
 
+    @property
+    def loads(self) -> tuple[int, ...]:
+        """Size of each bundle; for phase-1 output, the number of big goods each agent holds."""
+        return tuple(len(b) for b in self.bundles)
+
     @classmethod
     def from_owners(cls, n: int, owners: Sequence[int]) -> "Allocation":
         """Build bundles from an owner vector (owners[g] is the agent holding good g)."""
@@ -104,9 +109,6 @@ class Allocation:
         for g, a in enumerate(owners):
             bundles[a].add(g)
         return cls(tuple(frozenset(b) for b in bundles))
-
-    def assigned(self) -> frozenset[int]:
-        return frozenset().union(*self.bundles) if self.bundles else frozenset()
 
     def owner_of(self) -> dict[int, int]:
         """Map each assigned good to its owner; a duplicated good keeps the lowest agent."""

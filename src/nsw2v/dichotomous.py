@@ -10,29 +10,11 @@ agents.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 
 from .core import Allocation, Instance, validate_allocation
 
 
-@dataclass(frozen=True)
-class BigAllocation:
-    """Bundles containing only goods big for their holder."""
-
-    bundles: tuple[frozenset[int], ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "bundles", tuple(frozenset(b) for b in self.bundles))
-
-    @property
-    def loads(self) -> tuple[int, ...]:
-        return tuple(len(b) for b in self.bundles)
-
-    def as_allocation(self) -> Allocation:
-        return Allocation(self.bundles)
-
-
-def initial_nonwasteful(inst: Instance) -> BigAllocation:
+def initial_nonwasteful(inst: Instance) -> Allocation:
     """Greedy seed: each big good, in index order, goes to a least-loaded eligible agent."""
     bundles: list[set[int]] = [set() for _ in range(inst.n)]
     loads = [0] * inst.n
@@ -41,7 +23,7 @@ def initial_nonwasteful(inst: Instance) -> BigAllocation:
         owner = min(eligible, key=lambda i: (loads[i], i))
         bundles[owner].add(g)
         loads[owner] += 1
-    return BigAllocation(tuple(frozenset(b) for b in bundles))
+    return Allocation(tuple(frozenset(b) for b in bundles))
 
 
 def _unloading_path(inst: Instance, bundles: list[set[int]], loads: list[int]) -> list[int] | None:
@@ -78,7 +60,7 @@ def _unloading_path(inst: Instance, bundles: list[set[int]], loads: list[int]) -
     return None
 
 
-def balance_loads(inst: Instance, big_alloc: BigAllocation) -> BigAllocation:
+def balance_loads(inst: Instance, big_alloc: Allocation) -> Allocation:
     """Trade big goods along paths until no agent sits two goods above a reachable one.
 
     Each trade moves one good per path edge (the lowest-index good the next
@@ -86,7 +68,7 @@ def balance_loads(inst: Instance, big_alloc: BigAllocation) -> BigAllocation:
     keeping every intermediate load unchanged. The sum of squared loads drops
     with every trade, so the loop terminates.
     """
-    report = validate_allocation(inst, big_alloc.as_allocation())
+    report = validate_allocation(inst, big_alloc)
     if not (report.disjoint and report.nonwasteful):
         raise ValueError("balance_loads requires a disjoint non-wasteful allocation")
     bundles = [set(b) for b in big_alloc.bundles]
@@ -104,9 +86,9 @@ def balance_loads(inst: Instance, big_alloc: BigAllocation) -> BigAllocation:
             bundles[w].add(g)
         loads[path[0]] -= 1
         loads[path[-1]] += 1
-    return BigAllocation(tuple(frozenset(b) for b in bundles))
+    return Allocation(tuple(frozenset(b) for b in bundles))
 
 
-def solve_dichotomous(inst: Instance) -> BigAllocation:
+def solve_dichotomous(inst: Instance) -> Allocation:
     """Place all big goods so that the sorted load vector is lexicographically minimal."""
     return balance_loads(inst, initial_nonwasteful(inst))

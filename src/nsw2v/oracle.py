@@ -12,13 +12,11 @@ from __future__ import annotations
 
 import math
 from collections import Counter, deque
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
 from .balance import two_value_approx
-from .core import Allocation, Instance, NswValue, nsw_product
-from .dichotomous import BigAllocation
+from .core import Allocation, Instance, NswValue, nsw_product, validate_allocation
 
 DEFAULT_BUDGET = 10_000_000
 
@@ -56,17 +54,13 @@ def state_count(inst: Instance, group_identical: bool = False) -> int:
 
 
 def _search(
-    inst: Instance,
-    first_owner: int | None,
-    group_identical: bool,
-    reference_owner: Sequence[int] | None,
-) -> tuple[int, int, list[int]]:
+    inst: Instance, group_identical: bool, reference_owner: Sequence[int] | None
+) -> tuple[int, list[int]]:
     """Enumerate owner vectors in lexicographic order and keep the best one.
 
     Best means highest product, then (when reference_owner is given) highest
     overlap with the reference, then first visited, which is the
-    lexicographically least owner vector. first_owner pins good 0 so the
-    space can be partitioned across workers without changing the outcome.
+    lexicographically least owner vector.
     """
     n, m = inst.n, inst.m
     cols = [[inst.q if g in inst.big_sets[i] else inst.p for i in range(n)] for g in range(m)]
@@ -99,9 +93,7 @@ def _search(
                 best_assign = assign.copy()
             return
         col = cols[g]
-        if g == 0 and first_owner is not None:
-            owners = range(first_owner, first_owner + 1)
-        elif group_of is None:
+        if group_of is None:
             owners = range(n)
         else:
             owners = range(floor_of_group.get(group_of[g], 0), n)
@@ -122,7 +114,7 @@ def _search(
             values[a] -= col[a]
 
     rec(0)
-    return best_prod, best_overlap, best_assign
+    return best_prod, best_assign
 
 
 def exact_optimum(
@@ -130,49 +122,33 @@ def exact_optimum(
     *,
     budget: int = DEFAULT_BUDGET,
     group_identical: bool = False,
-    workers: int = 1,
 ) -> tuple[NswValue, Allocation]:
     """Maximum welfare product over all n^m assignments, with a witness.
 
     The witness is the lexicographically least owner vector among the maxima.
     group_identical turns on the lossless interchangeable-goods reduction
-    (see state_count); workers > 1 partitions the space by the owner of good
-    0 and merges deterministically, which is bit-identical to a single
-    worker.
+    (see state_count).
     """
     states = state_count(inst, group_identical)
     if states > budget:
         raise BudgetExceededError(f"{states} states exceed the budget of {budget}")
-    if workers > 1 and inst.m >= 1 and inst.n > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(
-                pool.map(
-                    _search,
-                    [inst] * inst.n,
-                    range(inst.n),
-                    [group_identical] * inst.n,
-                    [None] * inst.n,
-                )
-            )
-        best_prod, _, best_assign = results[0]
-        for product, _, assign in results[1:]:
-            if product > best_prod:
-                best_prod, best_assign = product, assign
-    else:
-        best_prod, _, best_assign = _search(inst, None, group_identical, None)
+    best_prod, best_assign = _search(inst, group_identical, None)
     return NswValue(inst.n, inst.q, best_prod), Allocation.from_owners(inst.n, best_assign)
 
 
 def closest_optimum(
-    inst: Instance, reference: BigAllocation, *, budget: int = DEFAULT_BUDGET
+    inst: Instance, reference: Allocation, *, budget: int = DEFAULT_BUDGET
 ) -> Allocation:
     """Product-maximal allocation keeping as many goods as possible where the reference put them.
 
     Among the product maxima, the number of goods whose owner matches the
     reference is maximized; remaining ties go to the lexicographically least
     owner vector. Grouping is not applicable here: interchangeable goods can
-    overlap the reference differently.
+    overlap the reference differently. A reference with the wrong number of
+    bundles or a good outside 0..m-1 raises ValueError.
     """
+    if validate_allocation(inst, reference).out_of_range:
+        raise ValueError("closest_optimum needs a reference whose goods lie in 0..m-1")
     states = state_count(inst)
     if states > budget:
         raise BudgetExceededError(f"{states} states exceed the budget of {budget}")
@@ -180,7 +156,7 @@ def closest_optimum(
     for i, bundle in enumerate(reference.bundles):
         for g in bundle:
             ref_owner[g] = i
-    _, _, best_assign = _search(inst, None, False, ref_owner)
+    _, best_assign = _search(inst, False, ref_owner)
     return Allocation.from_owners(inst.n, best_assign)
 
 
@@ -210,17 +186,9 @@ class TransGraph:
     dst_only: tuple[tuple[int, int], ...]  # (agent, good) pairs assigned only in the second
 
 
-def _as_allocation(alloc: Allocation | BigAllocation) -> Allocation:
-    return alloc.as_allocation() if isinstance(alloc, BigAllocation) else alloc
-
-
-def build_trans_graph(
-    inst: Instance,
-    src_alloc: Allocation | BigAllocation,
-    dst_alloc: Allocation | BigAllocation,
-) -> TransGraph:
-    src_owner = _as_allocation(src_alloc).owner_of()
-    dst_owner = _as_allocation(dst_alloc).owner_of()
+def build_trans_graph(inst: Instance, src_alloc: Allocation, dst_alloc: Allocation) -> TransGraph:
+    src_owner = src_alloc.owner_of()
+    dst_owner = dst_alloc.owner_of()
     edges = []
     src_only = []
     dst_only = []
@@ -293,13 +261,7 @@ class RatioReport:
     ratio_float: float
 
 
-def ratio(
-    inst: Instance,
-    *,
-    budget: int = DEFAULT_BUDGET,
-    group_identical: bool = False,
-    workers: int = 1,
-) -> RatioReport:
+def ratio(inst: Instance, *, budget: int = DEFAULT_BUDGET) -> RatioReport:
     """Solve and enumerate the same instance; ratio_float is (opt/alg)^(1/n) >= 1.
 
     Equal products short-circuit to exactly 1.0 so that optimal runs never
@@ -307,9 +269,7 @@ def ratio(
     """
     alloc = two_value_approx(inst)
     alg = nsw_product(inst, alloc).product
-    opt, _ = exact_optimum(
-        inst, budget=budget, group_identical=group_identical, workers=workers
-    )
+    opt, _ = exact_optimum(inst, budget=budget)
     if alg == opt.product:
         value = 1.0
     else:

@@ -28,7 +28,7 @@ from _fixtures import brute_best, example1, raw_values
 
 def test_phase2_feeds_the_poorest_agent_in_good_order():
     inst = example1()
-    start = solve_dichotomous(inst).as_allocation()
+    start = solve_dichotomous(inst)
     assert valuation_profile(inst, start).values == (3, 3)
     completed = phase2_assign_small(inst, start)
     # goods 2 and 4 land on agent 0, good 3 on agent 1
@@ -58,7 +58,7 @@ def test_phase2_small_good_holders_stay_within_p_of_the_minimum():
         q = 2 + next(stream) % 6
         p = 1 + next(stream) % (q - 1)
         inst = random_instance(n, m, p, q, Fraction(1, 3), next(stream))
-        completed = phase2_assign_small(inst, solve_dichotomous(inst).as_allocation())
+        completed = phase2_assign_small(inst, solve_dichotomous(inst))
         values = valuation_profile(inst, completed).values
         low = min(values)
         for i, bundle in enumerate(completed.bundles):
@@ -98,7 +98,7 @@ def test_phase3_each_move_strictly_raises_the_product():
         q = 2 + next(stream) % 6
         p = 1 + next(stream) % (q - 1)
         inst = random_instance(n, m, p, q, Fraction(1, 2), next(stream))
-        completed = phase2_assign_small(inst, solve_dichotomous(inst).as_allocation())
+        completed = phase2_assign_small(inst, solve_dichotomous(inst))
         result = phase3_local_search(inst, completed, strict_properties=True)
         assert nsw_product(inst, result).product >= nsw_product(inst, completed).product
 

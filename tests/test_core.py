@@ -84,6 +84,7 @@ def test_instance_good_partition():
 def test_profile_and_product_on_example1_solver_output():
     inst = example1()
     alloc = Allocation((frozenset({0, 2, 4}), frozenset({1, 3})))
+    assert alloc.loads == (3, 2)  # bundle sizes, small goods included
     profile = valuation_profile(inst, alloc)
     assert profile.big_counts == (1, 1)
     assert profile.small_counts == (2, 1)

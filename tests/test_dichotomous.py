@@ -2,8 +2,7 @@
 
 from fractions import Fraction
 
-from nsw2v import Instance, initial_nonwasteful, balance_loads, solve_dichotomous
-from nsw2v.dichotomous import BigAllocation
+from nsw2v import Allocation, Instance, initial_nonwasteful, balance_loads, solve_dichotomous
 from nsw2v import validate_allocation
 from nsw2v.prng import random_big_sets, splitmix64
 
@@ -46,13 +45,13 @@ def test_initial_seed_skips_globally_small_goods():
 
 def test_balance_keeps_fixpoint_unchanged():
     inst = example1()
-    balanced = BigAllocation((frozenset({0}), frozenset({1})))
+    balanced = Allocation((frozenset({0}), frozenset({1})))
     assert balance_loads(inst, balanced).bundles == balanced.bundles
 
 
 def test_balance_moves_one_good_over_a_single_edge():
     inst = dichotomous(2, 2, [{0, 1}, {1}])
-    lopsided = BigAllocation((frozenset({0, 1}), frozenset()))
+    lopsided = Allocation((frozenset({0, 1}), frozenset()))
     result = balance_loads(inst, lopsided)
     assert result.bundles == (frozenset({0}), frozenset({1}))
     assert result.loads == (1, 1)
@@ -61,7 +60,7 @@ def test_balance_moves_one_good_over_a_single_edge():
 def test_balance_trades_along_a_two_edge_chain():
     # agent 0 cannot give to agent 2 directly; the path goes through agent 1
     inst = dichotomous(3, 3, [{0, 1}, {1, 2}, {2}])
-    start = BigAllocation((frozenset({0, 1}), frozenset({2}), frozenset()))
+    start = Allocation((frozenset({0, 1}), frozenset({2}), frozenset()))
     result = balance_loads(inst, start)
     assert result.loads == (1, 1, 1)
     assert result.bundles == (frozenset({0}), frozenset({1}), frozenset({2}))
@@ -70,7 +69,7 @@ def test_balance_trades_along_a_two_edge_chain():
 def test_balance_rejects_wasteful_input():
     inst = dichotomous(2, 2, [{0, 1}, {1}])
     with pytest.raises(ValueError):
-        balance_loads(inst, BigAllocation((frozenset({0}), frozenset())))
+        balance_loads(inst, Allocation((frozenset({0}), frozenset())))
 
 
 # ------------------------------------------------------------------ full phase
@@ -114,7 +113,7 @@ def test_solve_random_instances_are_balanced_and_lorenz_minimal():
         inst = dichotomous(n, b, sets)
         result = solve_dichotomous(inst)
 
-        report = validate_allocation(inst, result.as_allocation())
+        report = validate_allocation(inst, result)
         assert report.disjoint and report.nonwasteful
 
         loads = list(result.loads)

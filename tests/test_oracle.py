@@ -54,6 +54,13 @@ def test_exact_optimum_budget_is_enforced():
     inst = Instance(3, 16, 1, 2, tuple(frozenset({i}) for i in range(3)))
     with pytest.raises(BudgetExceededError):
         exact_optimum(inst, budget=1000)
+    # the budget is checked against the state count of the search actually run:
+    # example1 has 12 grouped states but 2^5 = 32 plain ones
+    inst = example1()
+    best, _ = exact_optimum(inst, budget=12, group_identical=True)
+    assert best.product == 36
+    with pytest.raises(BudgetExceededError):
+        exact_optimum(inst, budget=12)
 
 
 def test_state_count_shrinks_under_grouping():
@@ -63,7 +70,7 @@ def test_state_count_shrinks_under_grouping():
     assert state_count(inst, group_identical=True) == 3 * 4
 
 
-def test_grouped_and_parallel_search_agree_with_plain():
+def test_grouped_search_agrees_with_plain():
     stream = splitmix64(2024)
     for _ in range(60):
         n = 2 + next(stream) % 2
@@ -75,14 +82,6 @@ def test_grouped_and_parallel_search_agree_with_plain():
         grouped = exact_optimum(inst, group_identical=True)
         assert grouped[0].product == plain[0].product
         assert grouped[1].bundles == plain[1].bundles
-
-
-def test_parallel_search_is_bit_identical():
-    inst = random_instance(3, 7, 2, 5, Fraction(1, 2), 8675309)
-    plain = exact_optimum(inst)
-    parallel = exact_optimum(inst, workers=2)
-    assert parallel[0].product == plain[0].product
-    assert parallel[1].bundles == plain[1].bundles
 
 
 # --------------------------------------------------------------- closest optimum
@@ -124,6 +123,16 @@ def test_closest_optimum_maximizes_overlap_over_all_optima():
         assert owners in optima
         got = overlap_with(owners, reference.bundles)
         assert got == max(overlap_with(o, reference.bundles) for o in optima)
+
+
+@pytest.mark.parametrize("bundles", [
+    (frozenset({0, -1}), frozenset({1})),  # would overwrite the owner of the last good
+    (frozenset({0, 5}), frozenset({1})),  # past the last good
+    (frozenset({0}),),  # one bundle for two agents
+])
+def test_closest_optimum_rejects_a_malformed_reference(bundles):
+    with pytest.raises(ValueError):
+        closest_optimum(example1(), Allocation(bundles))
 
 
 # ---------------------------------------------------------------- transfer graph
