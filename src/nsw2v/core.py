@@ -232,8 +232,10 @@ def _body_lines(lines: list[str], count: int, what: str) -> list[str]:
     body = lines[2:]
     if len(body) > count and any(extra.strip() for extra in body[count:]):
         raise ParseError(f"trailing content after {count} {what} lines")
-    body = body[:count]
-    return body + [""] * (count - len(body))
+    if len(body) < count - 1:
+        raise ParseError(f"expected {count} {what} lines, got {len(body)}")
+    # the last line may be left out; it then reads as empty
+    return body[:count] + [""] * (count - len(body))
 
 
 def parse_instance(text: str) -> Instance:

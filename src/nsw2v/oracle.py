@@ -1,11 +1,13 @@
-"""Brute-force ground truth and diagnostics for the two-value solver.
+"""Exact ground truth and diagnostics for the two-value solver.
 
-exact_optimum enumerates every assignment of goods to agents, keeping exact
+exact_optimum searches every assignment of goods to agents, keeping exact
 integer products, so its answers are usable as frozen expected values in
 tests. closest_optimum breaks ties among the optima toward a reference
-big-good allocation. Transformation graphs describe how two allocations
-differ, edge by edge, with each good labelled by its size class for the two
-owners.
+big-good allocation. Both run one dynamic program over the goods that keeps,
+for each vector of agent values, only the best prefix reaching it; the
+budget is checked against state_count before it starts. Transformation
+graphs describe how two allocations differ, edge by edge, with each good
+labelled by its size class for the two owners.
 """
 
 from __future__ import annotations
@@ -36,13 +38,12 @@ def _good_groups(inst: Instance) -> list[int]:
 
 
 def state_count(inst: Instance, group_identical: bool = False) -> int:
-    """Number of assignments enumerated.
+    """Number of assignments counted against the budget.
 
     Without grouping this is n^m. With grouping, goods with identical value
     columns are interchangeable, so only owner multisets are counted per
-    group; the canonical representative (owners non-decreasing within each
-    group) is also the lexicographically least member of its class, which
-    keeps witnesses identical to the ungrouped enumeration.
+    group. Either count bounds the number of value vectors the search keeps
+    in one layer.
     """
     if not group_identical:
         return inst.n ** inst.m
@@ -53,68 +54,58 @@ def state_count(inst: Instance, group_identical: bool = False) -> int:
     return total
 
 
-def _search(
-    inst: Instance, group_identical: bool, reference_owner: Sequence[int] | None
-) -> tuple[int, list[int]]:
-    """Enumerate owner vectors in lexicographic order and keep the best one.
+def _search(inst: Instance, reference_owner: Sequence[int] | None) -> tuple[int, list[int]]:
+    """Best product and owner vector, by a forward DP over goods on agent-value vectors.
 
-    Best means highest product, then (when reference_owner is given) highest
-    overlap with the reference, then first visited, which is the
-    lexicographically least owner vector.
+    Best means highest product, then (when reference_owner is given) most
+    goods where the reference put them, then the lexicographically least
+    owner vector. After g goods, each value vector, packed w bits per agent,
+    keeps the least score mismatches * n**g + (owner digits in base n) among
+    the prefixes reaching it. Prefixes reaching the same vector have the same
+    completions, so this loses no optimum and no tie-break. The last good is
+    scored on the fly, so the largest layer is never stored.
     """
     n, m = inst.n, inst.m
-    cols = [[inst.q if g in inst.big_sets[i] else inst.p for i in range(n)] for g in range(m)]
-    group_of = _good_groups(inst) if group_identical else None
-    prod = math.prod
-    ref = list(reference_owner) if reference_owner is not None else None
-
-    best_prod = -1
-    best_overlap = -1
-    best_assign: list[int] = []
-    assign = [0] * m
-    values = [0] * n
-    floor_of_group: dict[int, int] = {}
-
-    def rec(g: int) -> None:
-        nonlocal best_prod, best_overlap, best_assign
-        if g == m:
-            product = prod(values)
-            if product < best_prod:
-                return
-            if ref is None:
-                if product > best_prod:
-                    best_prod = product
-                    best_assign = assign.copy()
-                return
-            overlap = sum(1 for k in range(m) if assign[k] == ref[k])
-            if product > best_prod or overlap > best_overlap:
-                best_prod = product
-                best_overlap = overlap
-                best_assign = assign.copy()
-            return
-        col = cols[g]
-        if group_of is None:
-            owners = range(n)
-        else:
-            owners = range(floor_of_group.get(group_of[g], 0), n)
-        for a in owners:
-            assign[g] = a
-            values[a] += col[a]
-            if group_of is None:
-                rec(g + 1)
-            else:
-                gid = group_of[g]
-                prev = floor_of_group.get(gid)
-                floor_of_group[gid] = a
-                rec(g + 1)
-                if prev is None:
-                    del floor_of_group[gid]
-                else:
-                    floor_of_group[gid] = prev
-            values[a] -= col[a]
-
-    rec(0)
-    return best_prod, best_assign
+    if m == 0:
+        return 0, []
+    w = (inst.q * m).bit_length()
+    moves = []  # per good and owner: (owner, value, score increment)
+    for g in range(m):
+        miss = n ** (g + 1)
+        moves.append([
+            (a, inst.q if g in inst.big_sets[a] else inst.p,
+             a + miss * (reference_owner is not None and reference_owner[g] != a))
+            for a in range(n)
+        ])
+    layer = {0: 0}
+    for g in range(m - 1):
+        nxt: dict[int, int] = {}
+        keep = nxt.setdefault
+        steps = [(value << a * w, add) for a, value, add in moves[g]]
+        while layer:  # popping frees the old layer while the new one grows
+            key, score = layer.popitem()
+            base = score * n
+            for inc, add in steps:
+                k, s = key + inc, base + add
+                if keep(k, s) > s:
+                    nxt[k] = s
+        layer = nxt
+    mask = (1 << w) - 1
+    best_prod, best_score = -1, 0
+    for key, score in layer.items():
+        values = [key >> a * w & mask for a in range(n)]
+        for a, value, add in moves[-1]:
+            values[a] += value
+            product = math.prod(values)
+            values[a] -= value
+            s = score * n + add
+            if product > best_prod or (product == best_prod and s < best_score):
+                best_prod, best_score = product, s
+    owners = []
+    for _ in range(m):
+        best_score, a = divmod(best_score, n)
+        owners.append(a)
+    return best_prod, owners[::-1]
 
 
 def exact_optimum(
@@ -126,13 +117,14 @@ def exact_optimum(
     """Maximum welfare product over all n^m assignments, with a witness.
 
     The witness is the lexicographically least owner vector among the maxima.
-    group_identical turns on the lossless interchangeable-goods reduction
-    (see state_count).
+    group_identical only chooses which state_count the budget is checked
+    against, the grouped one being smaller; the search and its answer are
+    the same either way.
     """
     states = state_count(inst, group_identical)
     if states > budget:
         raise BudgetExceededError(f"{states} states exceed the budget of {budget}")
-    best_prod, best_assign = _search(inst, group_identical, None)
+    best_prod, best_assign = _search(inst, None)
     return NswValue(inst.n, inst.q, best_prod), Allocation.from_owners(inst.n, best_assign)
 
 
@@ -143,9 +135,9 @@ def closest_optimum(
 
     Among the product maxima, the number of goods whose owner matches the
     reference is maximized; remaining ties go to the lexicographically least
-    owner vector. Grouping is not applicable here: interchangeable goods can
-    overlap the reference differently. A reference with the wrong number of
-    bundles or a good outside 0..m-1 raises ValueError.
+    owner vector. The budget is checked against the ungrouped state_count.
+    A reference with the wrong number of bundles or a good outside 0..m-1
+    raises ValueError.
     """
     if validate_allocation(inst, reference).out_of_range:
         raise ValueError("closest_optimum needs a reference whose goods lie in 0..m-1")
@@ -156,7 +148,7 @@ def closest_optimum(
     for i, bundle in enumerate(reference.bundles):
         for g in bundle:
             ref_owner[g] = i
-    _, best_assign = _search(inst, False, ref_owner)
+    _, best_assign = _search(inst, ref_owner)
     return Allocation.from_owners(inst.n, best_assign)
 
 

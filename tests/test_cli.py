@@ -147,6 +147,9 @@ def test_exit_code_parse_failure(tmp_path, capsys):
     bad.write_text("not an instance\n", encoding="utf-8")
     assert cli.main(["solve", str(bad)]) == cli.EXIT_PARSE
     assert cli.main(["solve", str(tmp_path / "missing.nsw")]) == cli.EXIT_PARSE
+    huge = tmp_path / "huge.nsw"
+    huge.write_text("nsw2v 1\n1000000000 5 2 3\n", encoding="utf-8")
+    assert cli.main(["solve", str(huge)]) == cli.EXIT_PARSE
 
 
 def test_exit_code_too_few_goods(tmp_path, capsys):

@@ -237,6 +237,8 @@ def test_instance_round_trips():
         "nsw2v 1\n2 5 2 3\n0 x\n0 1\n",
         "nsw2v 1\n0 5 2 3\n",
         "nsw2v 1\n1 5 2 3\n0 1\n0 1\n",  # extra non-empty line
+        "nsw2v 1\n3 5 2 3\n0 1\n",  # two agent lines missing
+        "nsw2v 1\n1000000000 5 2 3\n",  # huge n must fail before any allocation
     ],
 )
 def test_parse_instance_rejects_malformed(text):
@@ -260,6 +262,7 @@ def test_allocation_round_trip():
         "alloc 1\n2\n0\n1\n",
         "alloc 2\n2 5\n0\n1\n",
         "",
+        "alloc 1\n1000000000 5\n",  # huge n must fail before any allocation
     ],
 )
 def test_parse_allocation_rejects_malformed(text):
