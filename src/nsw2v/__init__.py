@@ -59,57 +59,3 @@ from .reductions import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "Allocation",
-    "BudgetExceededError",
-    "GoodsFewerThanAgentsError",
-    "Instance",
-    "LocalSearchInvariantError",
-    "LpCertificate",
-    "LpReport",
-    "NswValue",
-    "ParseError",
-    "PathReport",
-    "PdmInstance",
-    "RatioReport",
-    "ReductionError",
-    "TransEdge",
-    "TransGraph",
-    "ValidationReport",
-    "ValuationProfile",
-    "ZeroSmallValueError",
-    "balance",
-    "balance_loads",
-    "build_trans_graph",
-    "canonicalize",
-    "classify_paths",
-    "closest_optimum",
-    "coprime_solutions",
-    "exact_optimum",
-    "find_perfect_matching",
-    "hardness_constants",
-    "initial_nonwasteful",
-    "matching_to_allocation",
-    "nsw_product",
-    "optimal_certificate",
-    "parse_allocation",
-    "parse_certificate",
-    "parse_instance",
-    "parse_pdm",
-    "phase2_assign_small",
-    "phase3_local_search",
-    "ratio",
-    "reduce_gap4dm",
-    "reduce_pdm",
-    "serialize_allocation",
-    "serialize_certificate",
-    "serialize_instance",
-    "serialize_pdm",
-    "solve_dichotomous",
-    "state_count",
-    "two_value_approx",
-    "validate_allocation",
-    "valuation_profile",
-    "verify_apx_lp",
-]

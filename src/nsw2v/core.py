@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, total_ordering
-from typing import Sequence
+from typing import Iterable, Sequence
 
 INSTANCE_MAGIC = "nsw2v 1"
 ALLOCATION_MAGIC = "alloc 1"
@@ -228,69 +228,67 @@ def _int_fields(line: str, what: str) -> list[int]:
         raise ParseError(f"{what}: expected integers, got {line!r}") from exc
 
 
-def _body_lines(lines: list[str], count: int, what: str) -> list[str]:
-    body = lines[2:]
-    if len(body) > count and any(extra.strip() for extra in body[count:]):
+def _read_header(text: str, magic: str, fields: str = "") -> tuple[list[int], list[str]]:
+    """Check the tag line; return the integer sizes named by fields, if any, and the body lines."""
+    lines = text.splitlines()
+    if not lines or lines[0].strip() != magic:
+        raise ParseError(f"expected {magic!r} on the first line")
+    if not fields:
+        return [], lines[1:]
+    size_line = lines[1] if len(lines) > 1 else ""
+    sizes = _int_fields(size_line, "size line")
+    if len(sizes) != len(fields.split()):
+        raise ParseError(f"size line must hold {fields!r}, got {size_line!r}")
+    return sizes, lines[2:]
+
+
+def _records(body: list[str], count: int, what: str) -> list[list[int]]:
+    """The integer fields of count record lines; the count must be non-negative.
+
+    Only blank lines may follow, and only the last line may be missing, reading as empty.
+    """
+    if count < 0:
+        raise ParseError(f"{what} count must be non-negative, got {count}")
+    if any(extra.strip() for extra in body[count:]):
         raise ParseError(f"trailing content after {count} {what} lines")
     if len(body) < count - 1:
         raise ParseError(f"expected {count} {what} lines, got {len(body)}")
-    # the last line may be left out; it then reads as empty
-    return body[:count] + [""] * (count - len(body))
+    lines = body[:count] + [""] * (count - len(body))
+    return [_int_fields(line, f"{what} {i}") for i, line in enumerate(lines)]
+
+
+def _write_records(magic: str, header: Iterable[object], records: Iterable[Iterable]) -> str:
+    """The tag line, then the header and each record as one line of space-separated fields."""
+    lines = [magic, *(" ".join(map(str, fields)) for fields in (header, *records))]
+    return "\n".join(lines) + "\n"
 
 
 def parse_instance(text: str) -> Instance:
-    lines = text.splitlines()
-    if not lines or lines[0].strip() != INSTANCE_MAGIC:
-        raise ParseError(f"expected {INSTANCE_MAGIC!r} on the first line")
-    if len(lines) < 2:
-        raise ParseError("missing size line 'n m p q'")
-    header = _int_fields(lines[1], "size line")
-    if len(header) != 4:
-        raise ParseError(f"size line must hold 'n m p q', got {lines[1]!r}")
-    n, m, p, q = header
-    if n < 1:
-        raise ParseError(f"need at least one agent, got n={n}")
-    big_sets = []
-    for i, line in enumerate(_body_lines(lines, n, "agent")):
-        big_sets.append(frozenset(_int_fields(line, f"agent {i}")))
+    (n, m, p, q), body = _read_header(text, INSTANCE_MAGIC, "n m p q")
+    big_sets = _records(body, n, "agent")
     try:
-        return Instance(n, m, p, q, tuple(big_sets))
+        return Instance(n, m, p, q, big_sets)
     except ValueError as exc:
         raise ParseError(str(exc)) from exc
 
 
 def serialize_instance(inst: Instance) -> str:
-    lines = [INSTANCE_MAGIC, f"{inst.n} {inst.m} {inst.p} {inst.q}"]
-    lines.extend(" ".join(str(g) for g in sorted(s)) for s in inst.big_sets)
-    return "\n".join(lines) + "\n"
+    header = (inst.n, inst.m, inst.p, inst.q)
+    return _write_records(INSTANCE_MAGIC, header, map(sorted, inst.big_sets))
 
 
 def parse_allocation(text: str) -> tuple[Allocation, int]:
     """Parse an allocation file; returns the allocation and the declared good count."""
-    lines = text.splitlines()
-    if not lines or lines[0].strip() != ALLOCATION_MAGIC:
-        raise ParseError(f"expected {ALLOCATION_MAGIC!r} on the first line")
-    if len(lines) < 2:
-        raise ParseError("missing size line 'n m'")
-    header = _int_fields(lines[1], "size line")
-    if len(header) != 2:
-        raise ParseError(f"size line must hold 'n m', got {lines[1]!r}")
-    n, m = header
-    if n < 1:
-        raise ParseError(f"need at least one bundle, got n={n}")
-    if m < 0:
-        raise ParseError(f"good count must be non-negative, got m={m}")
-    bundles = []
-    for i, line in enumerate(_body_lines(lines, n, "bundle")):
-        goods = _int_fields(line, f"bundle {i}")
+    (n, m), body = _read_header(text, ALLOCATION_MAGIC, "n m")
+    if n < 1 or m < 0:
+        raise ParseError(f"need at least one bundle and m >= 0, got n={n}, m={m}")
+    bundles = _records(body, n, "bundle")
+    for i, goods in enumerate(bundles):
         for g in goods:
             if not 0 <= g < m:
                 raise ParseError(f"bundle {i} lists good {g} outside 0..{m - 1}")
-        bundles.append(frozenset(goods))
-    return Allocation(tuple(bundles)), m
+    return Allocation(bundles), m
 
 
 def serialize_allocation(alloc: Allocation, m: int) -> str:
-    lines = [ALLOCATION_MAGIC, f"{alloc.n} {m}"]
-    lines.extend(" ".join(str(g) for g in sorted(b)) for b in alloc.bundles)
-    return "\n".join(lines) + "\n"
+    return _write_records(ALLOCATION_MAGIC, (alloc.n, m), map(sorted, alloc.bundles))

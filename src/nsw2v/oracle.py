@@ -136,18 +136,17 @@ def closest_optimum(
     Among the product maxima, the number of goods whose owner matches the
     reference is maximized; remaining ties go to the lexicographically least
     owner vector. The budget is checked against the ungrouped state_count.
-    A reference with the wrong number of bundles or a good outside 0..m-1
-    raises ValueError.
+    A reference with the wrong number of bundles, a good outside 0..m-1 or a
+    good in two bundles raises ValueError.
     """
-    if validate_allocation(inst, reference).out_of_range:
-        raise ValueError("closest_optimum needs a reference whose goods lie in 0..m-1")
+    report = validate_allocation(inst, reference)
+    if report.out_of_range or not report.disjoint:
+        raise ValueError("closest_optimum needs a reference holding goods of 0..m-1 at most once")
     states = state_count(inst)
     if states > budget:
         raise BudgetExceededError(f"{states} states exceed the budget of {budget}")
-    ref_owner = [-1] * inst.m
-    for i, bundle in enumerate(reference.bundles):
-        for g in bundle:
-            ref_owner[g] = i
+    owners = reference.owner_of()
+    ref_owner = [owners.get(g, -1) for g in range(inst.m)]
     _, best_assign = _search(inst, ref_owner)
     return Allocation.from_owners(inst.n, best_assign)
 

@@ -15,7 +15,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Mapping
 
-from .core import Allocation, Instance, ParseError
+from .core import Allocation, Instance, ParseError, _read_header, _records, _write_records
 
 PDM_MAGIC = "pdm 1"
 CERT_MAGIC = "lpcert 1"
@@ -283,52 +283,28 @@ def hardness_constants() -> dict[str, float]:
 
 
 def parse_pdm(text: str) -> PdmInstance:
-    lines = text.splitlines()
-    if not lines or lines[0].strip() != PDM_MAGIC:
-        raise ParseError(f"expected {PDM_MAGIC!r} on the first line")
-    if len(lines) < 2:
-        raise ParseError("missing size line 'dim n m'")
-    header = lines[1].split()
-    if len(header) != 3:
-        raise ParseError(f"size line must hold 'dim n m', got {lines[1]!r}")
+    (dim, n, m), body = _read_header(text, PDM_MAGIC, "dim n m")
+    edges = _records(body, m, "edge")
     try:
-        dim, n, m = (int(t) for t in header)
-    except ValueError as exc:
-        raise ParseError(f"size line must hold integers, got {lines[1]!r}") from exc
-    body = lines[2:]
-    if len(body) < m or any(extra.strip() for extra in body[m:]):
-        raise ParseError(f"expected exactly {m} edge lines")
-    edges = []
-    for i, line in enumerate(body[:m]):
-        try:
-            edge = tuple(int(t) for t in line.split())
-        except ValueError as exc:
-            raise ParseError(f"edge {i}: expected integers, got {line!r}") from exc
-        edges.append(edge)
-    try:
-        return PdmInstance(dim, n, tuple(edges))
+        return PdmInstance(dim, n, edges)
     except ValueError as exc:
         raise ParseError(str(exc)) from exc
 
 
 def serialize_pdm(g: PdmInstance) -> str:
-    lines = [PDM_MAGIC, f"{g.dim} {g.n} {g.m}"]
-    lines.extend(" ".join(str(v) for v in e) for e in g.edges)
-    return "\n".join(lines) + "\n"
+    return _write_records(PDM_MAGIC, (g.dim, g.n, g.m), g.edges)
 
 
 def parse_certificate(text: str) -> LpCertificate:
-    lines = [line for line in text.splitlines()]
-    if not lines or lines[0].strip() != CERT_MAGIC:
-        raise ParseError(f"expected {CERT_MAGIC!r} on the first line")
-    if len(lines) < 2 or not lines[1].startswith("alpha "):
+    _, lines = _read_header(text, CERT_MAGIC)
+    if not lines or not lines[0].startswith("alpha "):
         raise ParseError("missing 'alpha <value>' on the second line")
     try:
-        alpha = Fraction(lines[1].split()[1])
+        alpha = Fraction(lines[0].split()[1])
     except (IndexError, ValueError, ZeroDivisionError) as exc:
-        raise ParseError(f"bad alpha line {lines[1]!r}") from exc
+        raise ParseError(f"bad alpha line {lines[0]!r}") from exc
     x: dict[tuple[int, int], Fraction] = {}
-    for line in lines[2:]:
+    for line in lines[1:]:
         if not line.strip():
             continue
         parts = line.split()
@@ -348,6 +324,5 @@ def parse_certificate(text: str) -> LpCertificate:
 
 
 def serialize_certificate(cert: LpCertificate) -> str:
-    lines = [CERT_MAGIC, f"alpha {cert.alpha}"]
-    lines.extend(f"{i} {j} {v}" for (i, j), v in sorted(cert.x.items()))
-    return "\n".join(lines) + "\n"
+    entries = ((i, j, v) for (i, j), v in sorted(cert.x.items()))
+    return _write_records(CERT_MAGIC, ("alpha", cert.alpha), entries)

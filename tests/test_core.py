@@ -253,6 +253,20 @@ def test_allocation_round_trip():
     parsed, m = parse_allocation(text)
     assert parsed == alloc
     assert m == 5
+    stream = splitmix64(11)
+    for _ in range(200):
+        n = 1 + next(stream) % 4
+        m = next(stream) % 7
+        # owner n leaves the good unassigned, so empty bundles are common
+        owners = [next(stream) % (n + 1) for _ in range(m)]
+        alloc = Allocation(tuple(
+            frozenset(g for g, a in enumerate(owners) if a == i) for i in range(n)
+        ))
+        text = serialize_allocation(alloc, m)
+        assert parse_allocation(text) == (alloc, m)
+        assert serialize_allocation(*parse_allocation(text)) == text
+        if text.endswith("\n\n"):  # the empty last bundle line may be left out
+            assert parse_allocation(text[:-1]) == (alloc, m)
 
 
 @pytest.mark.parametrize(

@@ -132,6 +132,7 @@ def test_closest_optimum_maximizes_overlap_over_all_optima():
     (frozenset({0, -1}), frozenset({1})),  # would overwrite the owner of the last good
     (frozenset({0, 5}), frozenset({1})),  # past the last good
     (frozenset({0}),),  # one bundle for two agents
+    (frozenset({0, 1}), frozenset({0})),  # good 0 in two bundles
 ])
 def test_closest_optimum_rejects_a_malformed_reference(bundles):
     with pytest.raises(ValueError):

@@ -27,6 +27,7 @@ from nsw2v import (
     valuation_profile,
     verify_apx_lp,
 )
+from nsw2v.prng import splitmix64
 
 
 def tripartite() -> PdmInstance:
@@ -212,6 +213,17 @@ def test_pdm_round_trip():
     assert g == tripartite()
     assert serialize_pdm(g) == PDM_TEXT
     assert parse_pdm(serialize_pdm(g)) == g
+    stream = splitmix64(12)
+    for _ in range(200):
+        dim = 1 + next(stream) % 4
+        n = 1 + next(stream) % 3
+        edges = tuple(
+            tuple(next(stream) % n for _ in range(dim)) for _ in range(1 + next(stream) % 5)
+        )
+        g = PdmInstance(dim, n, edges)
+        text = serialize_pdm(g)
+        assert parse_pdm(text) == g
+        assert serialize_pdm(parse_pdm(text)) == text
 
 
 @pytest.mark.parametrize(
@@ -224,6 +236,7 @@ def test_pdm_round_trip():
         "pdm 1\n3 2 1\n0 x 0\n",
         "pdm 1\n3 2 1\n0 0 0\nleftover\n",
         "pdm 1\n3 2 1\n0 0 5\n",
+        "pdm 1\n3 2 -1\n0 0 0\n\n",  # negative edge count
     ],
 )
 def test_pdm_rejects_malformed_text(text):
@@ -238,6 +251,19 @@ def test_certificate_round_trip():
     again = parse_certificate(text)
     assert again.alpha == cert.alpha
     assert again.x == cert.x
+    stream = splitmix64(13)
+
+    def rational() -> Fraction:
+        # signed numerators up to 2**96 in size, denominators up to 2**64
+        size = 1 << (next(stream) % 97)
+        return Fraction(next(stream) % (2 * size + 1) - size, 1 + next(stream) % size)
+
+    for _ in range(200):
+        types = {(next(stream) % 5, next(stream) % 7) for _ in range(next(stream) % 8)}
+        cert = LpCertificate(rational(), {t: rational() for t in types})
+        text = serialize_certificate(cert)
+        assert parse_certificate(text) == cert
+        assert serialize_certificate(parse_certificate(text)) == text
 
 
 @pytest.mark.parametrize(
