@@ -32,6 +32,15 @@ def _write(path: str, text: str) -> None:
     Path(path).write_text(text, encoding="utf-8")
 
 
+def _rational(text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except ValueError as exc:
+        raise core.ParseError(str(exc)) from exc
+    except ZeroDivisionError as exc:
+        raise core.ParseError(f"zero denominator in {text!r}") from exc
+
+
 def _flag(value: bool) -> str:
     return "true" if value else "false"
 
@@ -102,7 +111,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
 def _cmd_gen(args: argparse.Namespace) -> int:
     if args.m < args.n:
         raise GoodsFewerThanAgentsError(f"need m >= n, got m={args.m}, n={args.n}")
-    big_prob = Fraction(args.big_prob)
+    big_prob = _rational(args.big_prob)
     inst = prng.random_instance(args.n, args.m, args.p, args.q, big_prob, args.seed)
     text = core.serialize_instance(inst)
     if args.out:
@@ -126,9 +135,9 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
 
 def _cmd_verify_lp(args: argparse.Namespace) -> int:
     cert = reductions.parse_certificate(_read(args.certificate))
-    report = reductions.verify_apx_lp(cert, Fraction(args.eps))
+    report = reductions.verify_apx_lp(cert, _rational(args.eps))
     if report.feasible:
-        factor = 4.0 / math.exp(report.objective)
+        factor = 4.0 * math.exp(-report.objective)
         print(f"feasible tight={len(report.tight)} factor={factor:.9f}")
     else:
         print("infeasible")
@@ -196,29 +205,27 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# first match wins, so subclasses of ValueError come before it
+_EXIT_CODES = (
+    (core.ParseError, EXIT_PARSE),
+    (GoodsFewerThanAgentsError, EXIT_TOO_FEW_GOODS),
+    (ZeroSmallValueError, EXIT_ZERO_SMALL),
+    (oracle.BudgetExceededError, EXIT_BUDGET),
+    (reductions.ReductionError, EXIT_REDUCTION),
+    (OSError, EXIT_PARSE),
+    (ValueError, EXIT_PARSE),
+)
+
+
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except core.ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except GoodsFewerThanAgentsError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_TOO_FEW_GOODS
-    except ZeroSmallValueError as exc:
-        print(f"error: {exc} (run `exact`, or treat the instance as dichotomous)",
-              file=sys.stderr)
-        return EXIT_ZERO_SMALL
-    except oracle.BudgetExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
-    except reductions.ReductionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_REDUCTION
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+    except tuple(kind for kind, _ in _EXIT_CODES) as exc:
+        code = next(code for kind, code in _EXIT_CODES if isinstance(exc, kind))
+        hint = " (run `exact`, or treat the instance as dichotomous)"
+        print(f"error: {exc}{hint if code == EXIT_ZERO_SMALL else ''}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -72,6 +72,18 @@ class Instance:
         return frozenset().union(*self.big_sets)
 
     @cached_property
+    def big_for(self) -> tuple[tuple[int, ...], ...]:
+        """For each good, the agents that value it big, in ascending order.
+
+        Derived from big_sets on first use and never set.
+        """
+        columns: list[list[int]] = [[] for _ in range(self.m)]
+        for i, s in enumerate(self.big_sets):
+            for g in s:
+                columns[g].append(i)
+        return tuple(map(tuple, columns))
+
+    @cached_property
     def small_goods(self) -> frozenset[int]:
         """Goods that are small for every agent."""
         return frozenset(range(self.m)) - self.big_goods

@@ -19,8 +19,7 @@ def initial_nonwasteful(inst: Instance) -> Allocation:
     bundles: list[set[int]] = [set() for _ in range(inst.n)]
     loads = [0] * inst.n
     for g in sorted(inst.big_goods):
-        eligible = (i for i in range(inst.n) if g in inst.big_sets[i])
-        owner = min(eligible, key=lambda i: (loads[i], i))
+        owner = min(inst.big_for[g], key=lambda i: (loads[i], i))
         bundles[owner].add(g)
         loads[owner] += 1
     return Allocation(tuple(frozenset(b) for b in bundles))
@@ -34,8 +33,7 @@ def _unloading_path(inst: Instance, bundles: list[set[int]], loads: list[int]) -
     from each source a BFS picks the lowest-load reachable destination (ties:
     lowest index), which keeps the whole procedure deterministic.
     """
-    n = inst.n
-    for src in sorted(range(n), key=lambda i: (-loads[i], i)):
+    for src in sorted(range(inst.n), key=lambda i: (-loads[i], i)):
         if loads[src] < 2:
             return None
         parent: dict[int, int | None] = {src: None}
@@ -43,14 +41,11 @@ def _unloading_path(inst: Instance, bundles: list[set[int]], loads: list[int]) -
         best: tuple[int, int] | None = None
         while queue:
             u = queue.popleft()
-            for w in range(n):
-                if w in parent:
-                    continue
-                if any(g in inst.big_sets[w] for g in bundles[u]):
-                    parent[w] = u
-                    queue.append(w)
-                    if loads[w] <= loads[src] - 2 and (best is None or (loads[w], w) < best):
-                        best = (loads[w], w)
+            for w in sorted({w for g in bundles[u] for w in inst.big_for[g]} - parent.keys()):
+                parent[w] = u
+                queue.append(w)
+                if loads[w] <= loads[src] - 2 and (best is None or (loads[w], w) < best):
+                    best = (loads[w], w)
         if best is not None:
             path = [best[1]]
             while parent[path[-1]] is not None:

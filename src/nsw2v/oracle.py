@@ -27,31 +27,17 @@ class BudgetExceededError(RuntimeError):
     """The enumeration would visit more states than the budget allows."""
 
 
-def _good_groups(inst: Instance) -> list[int]:
-    """Group ids per good; two goods share a group iff every agent values them equally."""
-    key_to_group: dict[frozenset[int], int] = {}
-    group_of = []
-    for g in range(inst.m):
-        key = frozenset(i for i in range(inst.n) if g in inst.big_sets[i])
-        group_of.append(key_to_group.setdefault(key, len(key_to_group)))
-    return group_of
-
-
 def state_count(inst: Instance, group_identical: bool = False) -> int:
     """Number of assignments counted against the budget.
 
-    Without grouping this is n^m. With grouping, goods with identical value
-    columns are interchangeable, so only owner multisets are counted per
-    group. Either count bounds the number of value vectors the search keeps
-    in one layer.
+    Without grouping this is n^m. With grouping, goods are grouped by their
+    big_for column: goods valued big by the same agents are interchangeable,
+    so only owner multisets are counted per group. Either count bounds the
+    number of value vectors the search keeps in one layer.
     """
     if not group_identical:
         return inst.n ** inst.m
-    sizes = Counter(_good_groups(inst))
-    total = 1
-    for s in sizes.values():
-        total *= math.comb(s + inst.n - 1, inst.n - 1)
-    return total
+    return math.prod(math.comb(s + inst.n - 1, inst.n - 1) for s in Counter(inst.big_for).values())
 
 
 def _search(inst: Instance, reference_owner: Sequence[int] | None) -> tuple[int, list[int]]:
@@ -73,7 +59,7 @@ def _search(inst: Instance, reference_owner: Sequence[int] | None) -> tuple[int,
     for g in range(m):
         miss = n ** (g + 1)
         moves.append([
-            (a, inst.q if g in inst.big_sets[a] else inst.p,
+            (a, inst.value(a, g),
              a + miss * (reference_owner is not None and reference_owner[g] != a))
             for a in range(n)
         ])

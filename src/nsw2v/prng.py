@@ -38,12 +38,8 @@ def random_big_sets(
         raise ValueError(f"big_prob must lie in [0, 1], got {big_prob}")
     threshold = (big_prob.numerator << 64) // big_prob.denominator
     stream = splitmix64(seed)
-    sets = []
-    for _ in range(n):
-        # the generator must be drained good by good even when filtering
-        row = [next(stream) < threshold for _ in range(m)]
-        sets.append(frozenset(g for g, hit in enumerate(row) if hit))
-    return tuple(sets)
+    # the generator must be drained good by good even when filtering
+    return tuple(frozenset(g for g in range(m) if next(stream) < threshold) for _ in range(n))
 
 
 def random_instance(

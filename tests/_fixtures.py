@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import deque
 
 from nsw2v import Instance
 
@@ -124,3 +125,48 @@ def exchange_path_exists(inst: Instance, bundles, src: int, dst: int) -> bool:
                 seen.add(w)
                 stack.append(w)
     return dst in seen
+
+
+def _scan_unloading_path(inst: Instance, bundles, loads) -> list[int] | None:
+    """Phase 1's path search with every agent pair scanned, independent of Instance.big_for."""
+    for src in sorted(range(inst.n), key=lambda i: (-loads[i], i)):
+        if loads[src] < 2:
+            return None
+        parent: dict[int, int | None] = {src: None}
+        queue = deque([src])
+        best: tuple[int, int] | None = None
+        while queue:
+            u = queue.popleft()
+            for w in range(inst.n):
+                if w in parent:
+                    continue
+                if any(g in inst.big_sets[w] for g in bundles[u]):
+                    parent[w] = u
+                    queue.append(w)
+                    if loads[w] <= loads[src] - 2 and (best is None or (loads[w], w) < best):
+                        best = (loads[w], w)
+        if best is not None:
+            path = [best[1]]
+            while parent[path[-1]] is not None:
+                path.append(parent[path[-1]])
+            return path[::-1]
+    return None
+
+
+def scan_phase1(inst: Instance) -> tuple[frozenset[int], ...]:
+    """Phase-1 bundles from the scan-based greedy seed and path trades, without big_for."""
+    bundles: list[set[int]] = [set() for _ in range(inst.n)]
+    loads = [0] * inst.n
+    for g in sorted(inst.big_goods):
+        eligible = (i for i in range(inst.n) if g in inst.big_sets[i])
+        owner = min(eligible, key=lambda i: (loads[i], i))
+        bundles[owner].add(g)
+        loads[owner] += 1
+    while (path := _scan_unloading_path(inst, bundles, loads)) is not None:
+        moves = [(u, w, min(bundles[u] & inst.big_sets[w])) for u, w in zip(path, path[1:])]
+        for u, w, g in moves:
+            bundles[u].remove(g)
+            bundles[w].add(g)
+        loads[path[0]] -= 1
+        loads[path[-1]] += 1
+    return tuple(frozenset(b) for b in bundles)

@@ -88,6 +88,7 @@ def test_gen_is_deterministic_and_round_trips(tmp_path, capsys):
     ) == 0
     second = capsys.readouterr().out
     assert first == second
+    assert first == "nsw2v 1\n3 6 2 5\n1 2 4\n0 4\n3 4\n"
     assert out.read_text(encoding="utf-8") == first
     inst = parse_instance(first)
     assert (inst.n, inst.m, inst.p, inst.q) == (3, 6, 2, 5)
@@ -140,6 +141,15 @@ def test_verify_lp_flags_an_infeasible_certificate(tmp_path, capsys):
     assert lines[2] == "slack type4=-109/162"
 
 
+def test_verify_lp_reports_an_infinite_factor_for_minus_infinite_objective(tmp_path, capsys):
+    cert = tmp_path / "zero.lp"
+    cert.write_text("lpcert 1\nalpha 0\n0 0 1\n", encoding="utf-8")
+    assert cli.main(["verify-lp", str(cert)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "feasible tight=0 factor=inf"
+    assert lines[5] == "objective=-inf"
+
+
 # ------------------------------------------------------------------ exit codes
 
 def test_exit_code_parse_failure(tmp_path, capsys):
@@ -150,6 +160,13 @@ def test_exit_code_parse_failure(tmp_path, capsys):
     huge = tmp_path / "huge.nsw"
     huge.write_text("nsw2v 1\n1000000000 5 2 3\n", encoding="utf-8")
     assert cli.main(["solve", str(huge)]) == cli.EXIT_PARSE
+    assert cli.main(["gen", "2", "3", "1", "2", "1/0"]) == cli.EXIT_PARSE
+    cert = tmp_path / "opt.lp"
+    cert.write_text(serialize_certificate(optimal_certificate()), encoding="utf-8")
+    assert cli.main(["verify-lp", str(cert), "--eps", "1/0"]) == cli.EXIT_PARSE
+    assert capsys.readouterr().err.splitlines()[-2:] == [
+        "error: zero denominator in '1/0'", "error: zero denominator in '1/0'",
+    ]
 
 
 def test_exit_code_too_few_goods(tmp_path, capsys):

@@ -77,6 +77,20 @@ def test_instance_good_partition():
     assert inst.small_goods == frozenset({2, 3, 4})
     assert inst.value(0, 0) == 3
     assert inst.value(0, 4) == 2
+    assert inst.big_for == ((0, 1), (0, 1), (), (), ())
+    # big_for is the transpose of big_sets, including m = 0, empty big sets
+    # and goods that are big for nobody
+    assert Instance(1, 0, 1, 2, (frozenset(),)).big_for == ()
+    assert Instance(2, 3, 1, 2, (frozenset(), frozenset({2}))).big_for == ((), (), (1,))
+    stream = splitmix64(5)
+    for _ in range(100):
+        n = 1 + next(stream) % 6
+        m = next(stream) % 8
+        inst = random_instance(n, m, 1, 2, Fraction(next(stream) % 4, 4), next(stream))
+        assert len(inst.big_for) == m
+        for g, agents in enumerate(inst.big_for):
+            assert agents == tuple(i for i in range(n) if g in inst.big_sets[i])
+        assert inst.big_goods == {g for g in range(m) if inst.big_for[g]}
 
 
 # ----------------------------------------------------------- welfare arithmetic
@@ -192,6 +206,15 @@ def test_validate_empty_allocation_on_empty_instance():
     inst = Instance(1, 0, 1, 2, (frozenset(),))
     report = validate_allocation(inst, Allocation((frozenset(),)))
     assert (report.complete, report.disjoint, report.nonwasteful) == (True, True, True)
+
+
+# ---------------------------------------------------------------------- stream
+
+def test_splitmix64_matches_the_published_stream():
+    stream = splitmix64(0)
+    assert [next(stream) for _ in range(3)] == [
+        0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F,
+    ]
 
 
 # ---------------------------------------------------------------- file formats

@@ -11,6 +11,7 @@ from _fixtures import (
     example1,
     exchange_path_exists,
     max_matching_size,
+    scan_phase1,
 )
 
 import pytest
@@ -125,3 +126,14 @@ def test_solve_random_instances_are_balanced_and_lorenz_minimal():
 
         assert tuple(sorted(loads, reverse=True)) == best_sorted_loads(inst)
         assert sum(1 for x in loads if x > 0) == max_matching_size(inst)
+
+
+def test_solve_matches_the_scan_based_reference():
+    # indexed phase 1 against the all-pairs scan it replaced, bundle for bundle
+    stream = splitmix64(3141)
+    for _ in range(400):
+        n = 1 + next(stream) % 8
+        m = next(stream) % 25
+        big_prob = Fraction(next(stream) % 5, 8)
+        inst = Instance(n, m, 1, 2, random_big_sets(n, m, big_prob, next(stream)))
+        assert solve_dichotomous(inst).bundles == scan_phase1(inst)
