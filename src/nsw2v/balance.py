@@ -8,6 +8,8 @@ on integer products, never on floats.
 
 from __future__ import annotations
 
+import heapq
+
 from .core import Allocation, Instance, validate_allocation, valuation_profile
 from .dichotomous import solve_dichotomous
 
@@ -28,18 +30,23 @@ class LocalSearchInvariantError(RuntimeError):
 
 
 def phase2_assign_small(inst: Instance, alloc: Allocation) -> Allocation:
-    """Give each globally-small good, in index order, to a poorest agent (ties: lowest index)."""
+    """Give each globally-small good, in index order, to a poorest agent (ties: lowest index).
+
+    The agents sit in a heap of (value, index), so each good takes the top
+    entry and replaces it with the agent's raised value.
+    """
     if inst.p == 0:
         raise ZeroSmallValueError("greedy completion needs p >= 1")
     report = validate_allocation(inst, alloc)
     if not (report.disjoint and report.nonwasteful):
         raise ValueError("phase 2 expects a disjoint non-wasteful allocation")
     bundles = [set(b) for b in alloc.bundles]
-    values = list(valuation_profile(inst, alloc).values)
+    heap = [(value, i) for i, value in enumerate(valuation_profile(inst, alloc).values)]
+    heapq.heapify(heap)
     for g in sorted(inst.small_goods):
-        poorest = min(range(inst.n), key=lambda i: (values[i], i))
+        value, poorest = heap[0]
         bundles[poorest].add(g)
-        values[poorest] += inst.p
+        heapq.heapreplace(heap, (value + inst.p, poorest))
     return Allocation(tuple(frozenset(b) for b in bundles))
 
 

@@ -1,8 +1,8 @@
 """Command-line interface.
 
-Exit codes: 0 success, 1 unreadable or malformed input, 2 fewer goods than
-agents, 3 p = 0 handed to the full solver, 4 enumeration over budget, 5 a
-reduction asked for outside its parameter range.
+Exit codes: 0 success, 1 unreadable or malformed input (a bad command line
+included), 2 fewer goods than agents, 3 p = 0 handed to the full solver, 4
+enumeration over budget, 5 a reduction asked for outside its parameter range.
 """
 
 from __future__ import annotations
@@ -147,9 +147,17 @@ def _cmd_verify_lp(args: argparse.Namespace) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse exits 2 on a usage error, which here means too few goods; exit 1 instead."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_PARSE, f"{self.prog}: error: {message}\n")
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="nsw2v",
         description="Nash-welfare solver and analysis tools for two-value instances.",
     )

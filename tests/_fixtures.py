@@ -127,11 +127,16 @@ def exchange_path_exists(inst: Instance, bundles, src: int, dst: int) -> bool:
     return dst in seen
 
 
-def _scan_unloading_path(inst: Instance, bundles, loads) -> list[int] | None:
-    """Phase 1's path search with every agent pair scanned, independent of Instance.big_for."""
+def _scan_unloading_path(inst: Instance, bundles, loads) -> tuple[list[int] | None, int]:
+    """Phase 1's path search with every agent pair scanned, independent of Instance.big_for.
+
+    Returns the path (None when there is none) and how many sources were
+    searched in vain before it.
+    """
+    failed = 0
     for src in sorted(range(inst.n), key=lambda i: (-loads[i], i)):
         if loads[src] < 2:
-            return None
+            return None, failed
         parent: dict[int, int | None] = {src: None}
         queue = deque([src])
         best: tuple[int, int] | None = None
@@ -149,12 +154,13 @@ def _scan_unloading_path(inst: Instance, bundles, loads) -> list[int] | None:
             path = [best[1]]
             while parent[path[-1]] is not None:
                 path.append(parent[path[-1]])
-            return path[::-1]
-    return None
+            return path[::-1], failed
+        failed += 1
+    return None, failed
 
 
-def scan_phase1(inst: Instance) -> tuple[frozenset[int], ...]:
-    """Phase-1 bundles from the scan-based greedy seed and path trades, without big_for."""
+def scan_seed(inst: Instance) -> list[set[int]]:
+    """Phase 1's greedy seed by scanning agents: each big good to a least-loaded eligible agent."""
     bundles: list[set[int]] = [set() for _ in range(inst.n)]
     loads = [0] * inst.n
     for g in sorted(inst.big_goods):
@@ -162,11 +168,56 @@ def scan_phase1(inst: Instance) -> tuple[frozenset[int], ...]:
         owner = min(eligible, key=lambda i: (loads[i], i))
         bundles[owner].add(g)
         loads[owner] += 1
-    while (path := _scan_unloading_path(inst, bundles, loads)) is not None:
+    return bundles
+
+
+def scan_trades(inst: Instance, bundles) -> tuple[tuple[frozenset[int], ...], list[int]]:
+    """Phase 1's trade loop from any disjoint non-wasteful bundles, without big_for.
+
+    Returns the balanced bundles and, for each path search in turn, the number
+    of sources it tried in vain; the list is one longer than the trade count.
+    """
+    bundles = [set(b) for b in bundles]
+    loads = [len(b) for b in bundles]
+    failures = []
+    while True:
+        path, failed = _scan_unloading_path(inst, bundles, loads)
+        failures.append(failed)
+        if path is None:
+            break
         moves = [(u, w, min(bundles[u] & inst.big_sets[w])) for u, w in zip(path, path[1:])]
         for u, w, g in moves:
             bundles[u].remove(g)
             bundles[w].add(g)
         loads[path[0]] -= 1
         loads[path[-1]] += 1
+    return tuple(frozenset(b) for b in bundles), failures
+
+
+def scan_phase1(inst: Instance) -> tuple[frozenset[int], ...]:
+    """Phase-1 bundles from the scan-based greedy seed and path trades, without big_for."""
+    return scan_trades(inst, scan_seed(inst))[0]
+
+
+def lopsided_start(inst: Instance) -> tuple[frozenset[int], ...]:
+    """A non-wasteful start far from balanced: each big good to its highest-index eligible agent."""
+    bundles: list[set[int]] = [set() for _ in range(inst.n)]
+    for g in inst.big_goods:
+        bundles[max(i for i in range(inst.n) if g in inst.big_sets[i])].add(g)
+    return tuple(frozenset(b) for b in bundles)
+
+
+def scan_phase2(inst: Instance, bundles) -> tuple[frozenset[int], ...]:
+    """Phase 2 by scanning for the poorest agent (ties: lowest index) before each small good."""
+    bundles = [set(b) for b in bundles]
+    values = [sum(inst.q if g in inst.big_sets[i] else inst.p for g in b) for i, b in enumerate(bundles)]
+    for g in range(inst.m):
+        if any(g in big for big in inst.big_sets):
+            continue
+        poorest = 0
+        for i in range(1, inst.n):
+            if values[i] < values[poorest]:
+                poorest = i
+        bundles[poorest].add(g)
+        values[poorest] += inst.p
     return tuple(frozenset(b) for b in bundles)

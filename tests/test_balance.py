@@ -21,7 +21,7 @@ from nsw2v import (
 )
 from nsw2v.prng import random_instance, splitmix64
 
-from _fixtures import brute_best, example1, raw_values
+from _fixtures import brute_best, example1, lopsided_start, raw_values, scan_phase2
 
 
 # --------------------------------------------------------------------- phase 2
@@ -49,6 +49,27 @@ def test_phase2_rejects_wasteful_input():
     with pytest.raises(ValueError):
         phase2_assign_small(inst, Allocation((frozenset(), frozenset())))
 
+
+def test_phase2_matches_the_scan_reference():
+    stream = splitmix64(1618)
+    cases = []
+    for k in range(300):
+        n = 1 if k % 10 == 0 else 1 + next(stream) % 12
+        m = next(stream) % 40
+        q = 2 + next(stream) % 7
+        p = q - 1 if k % 3 == 0 else 1 + next(stream) % (q - 1)
+        # probability 0 gives all-equal values, so every pick is a tie broken by index
+        big_prob = Fraction(next(stream) % 4, 6)
+        cases.append(random_instance(n, m, p, q, big_prob, next(stream)))
+    for inst in cases:
+        big = solve_dichotomous(inst)
+        for start in (big.bundles, lopsided_start(inst)):
+            completed = phase2_assign_small(inst, Allocation(start))
+            assert completed.bundles == scan_phase2(inst, start)
+    assert any(inst.n == 1 for inst in cases)
+    assert any(inst.p == inst.q - 1 for inst in cases)
+    assert any(not inst.big_goods and inst.n > 1 and inst.m > inst.n for inst in cases)
+    assert any(any(not b for b in inst.big_sets) and inst.big_goods for inst in cases)
 
 def test_phase2_small_good_holders_stay_within_p_of_the_minimum():
     stream = splitmix64(31)

@@ -169,6 +169,19 @@ def test_exit_code_parse_failure(tmp_path, capsys):
     ]
 
 
+
+def test_exit_code_usage_error_is_a_parse_failure(capsys):
+    # argparse's own status 2 would read as "fewer goods than agents"
+    for argv in (["exact", "X", "--budget", "abc"], ["gen", "2", "3", "1", "2", "-1/2"]):
+        with pytest.raises(SystemExit) as exited:
+            cli.main(argv)
+        assert exited.value.code == cli.EXIT_PARSE
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage: nsw2v {argv[0]} ") and "error:" in err
+    with pytest.raises(SystemExit) as exited:
+        cli.main(["--help"])
+    assert exited.value.code == 0
+
 def test_exit_code_too_few_goods(tmp_path, capsys):
     starved = tmp_path / "starved.nsw"
     starved.write_text("nsw2v 1\n1 0 1 2\n\n", encoding="utf-8")

@@ -10,8 +10,11 @@ from _fixtures import (
     best_sorted_loads,
     example1,
     exchange_path_exists,
+    lopsided_start,
     max_matching_size,
     scan_phase1,
+    scan_seed,
+    scan_trades,
 )
 
 import pytest
@@ -137,3 +140,22 @@ def test_solve_matches_the_scan_based_reference():
         big_prob = Fraction(next(stream) % 5, 8)
         inst = Instance(n, m, 1, 2, random_big_sets(n, m, big_prob, next(stream)))
         assert solve_dichotomous(inst).bundles == scan_phase1(inst)
+
+
+def test_balance_matches_the_scan_reference_from_seeded_and_lopsided_starts():
+    # sparse big sets on up to 40 agents: long trade runs, and searches that fail from
+    # several sources before one succeeds or before the call ends
+    stream = splitmix64(2718)
+    all_failures = []
+    for _ in range(150):
+        n = 1 + next(stream) % 40
+        m = next(stream) % (3 * n + 1)
+        big_prob = Fraction(1 + next(stream) % 3, 2 * n)
+        inst = Instance(n, m, 1, 2, random_big_sets(n, m, big_prob, next(stream)))
+        for start in (scan_seed(inst), lopsided_start(inst)):
+            bundles, failures = scan_trades(inst, start)
+            assert balance_loads(inst, Allocation(tuple(map(frozenset, start)))).bundles == bundles
+            all_failures.append(failures)
+    assert any(len(failures) > 5 for failures in all_failures)
+    assert any(max(failures[:-1], default=0) > 0 for failures in all_failures)
+    assert any(failures[-1] >= 2 for failures in all_failures)
