@@ -4,7 +4,6 @@ from .balance import (
     GoodsFewerThanAgentsError,
     LocalSearchInvariantError,
     ZeroSmallValueError,
-    balance,
     phase2_assign_small,
     phase3_local_search,
     two_value_approx,

@@ -110,15 +110,6 @@ def phase3_local_search(
     return Allocation(tuple(frozenset(b) for b in bundles))
 
 
-def balance(
-    inst: Instance, alloc: Allocation, *, strict_properties: bool = False
-) -> Allocation:
-    """Run phases 2 and 3 on any non-wasteful allocation (rebalancing experiments)."""
-    return phase3_local_search(
-        inst, phase2_assign_small(inst, alloc), strict_properties=strict_properties
-    )
-
-
 def two_value_approx(inst: Instance) -> Allocation:
     """Full solver: balance the big goods, greedily complete, then locally improve.
 

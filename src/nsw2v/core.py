@@ -15,6 +15,8 @@ from typing import Iterable, Sequence
 
 INSTANCE_MAGIC = "nsw2v 1"
 ALLOCATION_MAGIC = "alloc 1"
+# the largest good count a file may declare; the solver and validation do O(m) work
+MAX_GOODS = 10**6
 
 
 class ParseError(ValueError):
@@ -269,6 +271,11 @@ def _records(body: list[str], count: int, what: str) -> list[list[int]]:
     return [_int_fields(line, f"{what} {i}") for i, line in enumerate(lines)]
 
 
+def _check_good_count(m: int) -> None:
+    if m > MAX_GOODS:
+        raise ParseError(f"good count {m} exceeds the limit of {MAX_GOODS}")
+
+
 def _write_records(magic: str, header: Iterable[object], records: Iterable[Iterable]) -> str:
     """The tag line, then the header and each record as one line of space-separated fields."""
     lines = [magic, *(" ".join(map(str, fields)) for fields in (header, *records))]
@@ -277,6 +284,7 @@ def _write_records(magic: str, header: Iterable[object], records: Iterable[Itera
 
 def parse_instance(text: str) -> Instance:
     (n, m, p, q), body = _read_header(text, INSTANCE_MAGIC, "n m p q")
+    _check_good_count(m)
     big_sets = _records(body, n, "agent")
     try:
         return Instance(n, m, p, q, big_sets)
@@ -292,6 +300,7 @@ def serialize_instance(inst: Instance) -> str:
 def parse_allocation(text: str) -> tuple[Allocation, int]:
     """Parse an allocation file; returns the allocation and the declared good count."""
     (n, m), body = _read_header(text, ALLOCATION_MAGIC, "n m")
+    _check_good_count(m)
     if n < 1 or m < 0:
         raise ParseError(f"need at least one bundle and m >= 0, got n={n}, m={m}")
     bundles = _records(body, n, "bundle")

@@ -25,56 +25,45 @@ def initial_nonwasteful(inst: Instance) -> Allocation:
     return Allocation(tuple(frozenset(b) for b in bundles))
 
 
-def _unloading_path(
-    inst: Instance, bundles: list[set[int]], loads: list[int], owner: dict[int, int]
-) -> list[int] | None:
+def _unloading_path(inst: Instance, bundles: list[set[int]]) -> list[int] | None:
     """Find agents src -> ... -> dst with loads[src] >= loads[dst] + 2 linked by trades.
 
     The exchange graph has an edge (u, w) whenever u holds a good that is big
-    for w; owner[g] is the agent holding big good g. One reverse sweep first
-    gives every agent the least load it can reach: agents are visited in
-    ascending (load, index) order, and each one not yet labelled labels itself
-    and every unlabelled agent that reaches it (walking w <- owner[g] for g
-    big for w) with its own load. The source is the first agent in descending
-    load order (ties: lowest index) whose label is at least two below its
-    load; a BFS from it alone picks the lowest-load reachable destination
-    (ties: lowest index), which keeps the whole procedure deterministic.
+    for w. Sources are tried in descending load order (ties: lowest index)
+    until one has load below two; a BFS from each, visiting neighbours in
+    ascending index order over Instance.big_for, picks the lowest-load
+    reachable destination (ties: lowest index), which keeps the whole
+    procedure deterministic. The searches of one call share their visited
+    set: everything a failed source reaches sits at most one load below it,
+    and no later source is heavier, so an agent seen once can neither serve
+    as a later source nor lie on a later path.
     """
-    least = [-1] * inst.n
-    for t in sorted(range(inst.n), key=lambda i: (loads[i], i)):
-        if least[t] >= 0:
+    loads = [len(b) for b in bundles]
+    seen: set[int] = set()
+    for src in sorted(range(inst.n), key=lambda i: (-loads[i], i)):
+        if loads[src] < 2:
+            return None
+        if src in seen:
             continue
-        least[t] = loads[t]
-        stack = [t]
-        while stack:
-            w = stack.pop()
-            for g in inst.big_sets[w]:
-                u = owner[g]
-                if least[u] < 0:
-                    least[u] = loads[t]
-                    stack.append(u)
-    src = min(
-        (i for i in range(inst.n) if least[i] <= loads[i] - 2),
-        key=lambda i: (-loads[i], i),
-        default=None,
-    )
-    if src is None:
-        return None
-    parent: dict[int, int | None] = {src: None}
-    queue = deque([src])
-    best: tuple[int, int] | None = None
-    while queue:
-        u = queue.popleft()
-        for w in sorted({w for g in bundles[u] for w in inst.big_for[g]} - parent.keys()):
-            parent[w] = u
-            queue.append(w)
-            if loads[w] <= loads[src] - 2 and (best is None or (loads[w], w) < best):
-                best = (loads[w], w)
-    path = [best[1]]
-    while parent[path[-1]] is not None:
-        path.append(parent[path[-1]])
-    path.reverse()
-    return path
+        seen.add(src)
+        parent: dict[int, int | None] = {src: None}
+        queue = deque([src])
+        best: tuple[int, int] | None = None
+        while queue:
+            u = queue.popleft()
+            for w in sorted({w for g in bundles[u] for w in inst.big_for[g]} - seen):
+                seen.add(w)
+                parent[w] = u
+                queue.append(w)
+                if loads[w] <= loads[src] - 2 and (best is None or (loads[w], w) < best):
+                    best = (loads[w], w)
+        if best is not None:
+            path = [best[1]]
+            while parent[path[-1]] is not None:
+                path.append(parent[path[-1]])
+            path.reverse()
+            return path
+    return None
 
 
 def balance_loads(inst: Instance, big_alloc: Allocation) -> Allocation:
@@ -89,10 +78,8 @@ def balance_loads(inst: Instance, big_alloc: Allocation) -> Allocation:
     if not (report.disjoint and report.nonwasteful):
         raise ValueError("balance_loads requires a disjoint non-wasteful allocation")
     bundles = [set(b) for b in big_alloc.bundles]
-    loads = [len(b) for b in bundles]
-    owner = big_alloc.owner_of()
     while True:
-        path = _unloading_path(inst, bundles, loads, owner)
+        path = _unloading_path(inst, bundles)
         if path is None:
             break
         # pick all goods against the pre-trade bundles, then apply
@@ -102,9 +89,6 @@ def balance_loads(inst: Instance, big_alloc: Allocation) -> Allocation:
         for u, w, g in moves:
             bundles[u].remove(g)
             bundles[w].add(g)
-            owner[g] = w
-        loads[path[0]] -= 1
-        loads[path[-1]] += 1
     return Allocation(tuple(frozenset(b) for b in bundles))
 
 

@@ -10,7 +10,6 @@ from nsw2v import (
     GoodsFewerThanAgentsError,
     Instance,
     ZeroSmallValueError,
-    balance,
     nsw_product,
     phase2_assign_small,
     phase3_local_search,
@@ -172,7 +171,7 @@ def test_general_rebalance_accepts_handmade_nonwasteful_input():
     # and the run must repair it without the strict phase-1 checks
     inst = Instance(2, 3, 1, 2, (frozenset({0, 1, 2}), frozenset({0, 1, 2})))
     skewed = Allocation((frozenset({0, 1, 2}), frozenset()))
-    result = balance(inst, skewed)
+    result = phase3_local_search(inst, phase2_assign_small(inst, skewed))
     values = valuation_profile(inst, result).values
     assert sorted(values) == [2, 4]
     assert nsw_product(inst, result).product == 8

@@ -169,6 +169,21 @@ def test_exit_code_parse_failure(tmp_path, capsys):
     ]
 
 
+def test_exit_code_parse_failure_for_a_huge_good_count(example1_file, tmp_path, capsys):
+    # a declared m past core.MAX_GOODS fails in the parser, before any O(m) work
+    huge = tmp_path / "huge_m.nsw"
+    huge.write_text("nsw2v 1\n1 1000000000000 1 2\n\n", encoding="utf-8")
+    huge_alloc = tmp_path / "huge_m.alloc"
+    huge_alloc.write_text("alloc 1\n2 1000000000000\n\n\n", encoding="utf-8")
+    small_alloc = tmp_path / "small.alloc"
+    small_alloc.write_text("alloc 1\n1 1\n0\n", encoding="utf-8")
+    assert cli.main(["solve", str(huge)]) == cli.EXIT_PARSE
+    assert cli.main(["check", str(huge), str(small_alloc)]) == cli.EXIT_PARSE
+    assert cli.main(["check", example1_file, str(huge_alloc)]) == cli.EXIT_PARSE
+    assert capsys.readouterr().err.splitlines() == [
+        "error: good count 1000000000000 exceeds the limit of 1000000",
+    ] * 3
+
 
 def test_exit_code_usage_error_is_a_parse_failure(capsys):
     # argparse's own status 2 would read as "fewer goods than agents"

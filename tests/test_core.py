@@ -20,6 +20,7 @@ from nsw2v import (
     validate_allocation,
     valuation_profile,
 )
+from nsw2v.core import MAX_GOODS
 from nsw2v.prng import random_instance, splitmix64
 
 from _fixtures import example1, raw_values
@@ -262,11 +263,18 @@ def test_instance_round_trips():
         "nsw2v 1\n1 5 2 3\n0 1\n0 1\n",  # extra non-empty line
         "nsw2v 1\n3 5 2 3\n0 1\n",  # two agent lines missing
         "nsw2v 1\n1000000000 5 2 3\n",  # huge n must fail before any allocation
+        "nsw2v 1\n1 1000000000000 1 2\n\n",  # huge m must fail before any O(m) work
+        "nsw2v 1\n1 1000001 1 2\n\n",  # one past the good-count limit
     ],
 )
 def test_parse_instance_rejects_malformed(text):
     with pytest.raises(ParseError):
         parse_instance(text)
+
+
+def test_parse_accepts_a_good_count_at_the_limit():
+    assert parse_instance(f"nsw2v 1\n1 {MAX_GOODS} 1 2\n\n").m == MAX_GOODS
+    assert parse_allocation(f"alloc 1\n1 {MAX_GOODS}\n\n")[1] == MAX_GOODS
 
 
 def test_allocation_round_trip():
@@ -300,6 +308,8 @@ def test_allocation_round_trip():
         "alloc 2\n2 5\n0\n1\n",
         "",
         "alloc 1\n1000000000 5\n",  # huge n must fail before any allocation
+        "alloc 1\n1 1000000000000\n\n",  # huge m must fail before any O(m) work
+        "alloc 1\n1 1000001\n\n",  # one past the good-count limit
     ],
 )
 def test_parse_allocation_rejects_malformed(text):

@@ -1,9 +1,11 @@
 """Big-good placement tests: greedy seed, exchange-path balancing, load shapes."""
 
+from collections import deque
 from fractions import Fraction
 
 from nsw2v import Allocation, Instance, initial_nonwasteful, balance_loads, solve_dichotomous
 from nsw2v import validate_allocation
+import nsw2v.dichotomous as phase1
 from nsw2v.prng import random_big_sets, splitmix64
 
 from _fixtures import (
@@ -159,3 +161,37 @@ def test_balance_matches_the_scan_reference_from_seeded_and_lopsided_starts():
     assert any(len(failures) > 5 for failures in all_failures)
     assert any(max(failures[:-1], default=0) > 0 for failures in all_failures)
     assert any(failures[-1] >= 2 for failures in all_failures)
+
+
+def test_each_path_search_dequeues_every_agent_at_most_once(monkeypatch):
+    # the searches from the sources of one call share their visited set, so a call
+    # dequeues at most n agents, however many sources it tries
+    pops: list[int] = []
+
+    class CountingDeque(deque):
+        def popleft(self):
+            pops[-1] += 1
+            return super().popleft()
+
+    search = phase1._unloading_path
+
+    def counted(*args):
+        pops.append(0)
+        return search(*args)
+
+    monkeypatch.setattr(phase1, "deque", CountingDeque)
+    monkeypatch.setattr(phase1, "_unloading_path", counted)
+    # 30 agents, two goods each, every good big for all: the one search fails from all 30
+    crowded = dichotomous(30, 60, [range(60)] * 30)
+    starts = [(crowded, initial_nonwasteful(crowded))]
+    stream = splitmix64(1618)
+    for _ in range(40):
+        n = 1 + next(stream) % 40
+        m = next(stream) % (3 * n + 1)
+        big_prob = Fraction(1 + next(stream) % 3, 2 * n)
+        inst = Instance(n, m, 1, 2, random_big_sets(n, m, big_prob, next(stream)))
+        starts += [(inst, initial_nonwasteful(inst)), (inst, Allocation(lopsided_start(inst)))]
+    for inst, start in starts:
+        pops.clear()
+        balance_loads(inst, start)
+        assert pops and max(pops) <= inst.n
