@@ -47,7 +47,7 @@ def phase2_assign_small(inst: Instance, alloc: Allocation) -> Allocation:
         value, poorest = heap[0]
         bundles[poorest].add(g)
         heapq.heapreplace(heap, (value + inst.p, poorest))
-    return Allocation(tuple(frozenset(b) for b in bundles))
+    return Allocation(bundles)
 
 
 def phase3_local_search(
@@ -107,7 +107,7 @@ def phase3_local_search(
         values[i2] += w2
         gave_away.add(i1)
         moved.add(g)
-    return Allocation(tuple(frozenset(b) for b in bundles))
+    return Allocation(bundles)
 
 
 def two_value_approx(inst: Instance) -> Allocation:

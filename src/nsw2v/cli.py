@@ -45,26 +45,32 @@ def _flag(value: bool) -> str:
     return "true" if value else "false"
 
 
-def _cmd_solve(args: argparse.Namespace) -> int:
+def _put_allocation(out: str | None, m: int, alloc: core.Allocation, value: core.NswValue) -> None:
+    if out:
+        _write(out, core.serialize_allocation(alloc, m))
+    print(f"product={value.product} nsw_scaled={value.float_scaled:.6f}")
+
+
+def _put_instance(out: str | None, inst: core.Instance) -> None:
+    text = core.serialize_instance(inst)
+    if out:
+        _write(out, text)
+    print(text, end="")
+
+
+def _cmd_solve(args: argparse.Namespace) -> None:
     inst = core.parse_instance(_read(args.instance))
     alloc = two_value_approx(inst)
-    value = core.nsw_product(inst, alloc)
-    if args.out:
-        _write(args.out, core.serialize_allocation(alloc, inst.m))
-    print(f"product={value.product} nsw_scaled={value.float_scaled:.6f}")
-    return 0
+    _put_allocation(args.out, inst.m, alloc, core.nsw_product(inst, alloc))
 
 
-def _cmd_exact(args: argparse.Namespace) -> int:
+def _cmd_exact(args: argparse.Namespace) -> None:
     inst = core.parse_instance(_read(args.instance))
     value, witness = oracle.exact_optimum(inst, budget=args.budget)
-    if args.out:
-        _write(args.out, core.serialize_allocation(witness, inst.m))
-    print(f"product={value.product} nsw_scaled={value.float_scaled:.6f}")
-    return 0
+    _put_allocation(args.out, inst.m, witness, value)
 
 
-def _cmd_ratio(args: argparse.Namespace) -> int:
+def _cmd_ratio(args: argparse.Namespace) -> None:
     header = "instance,n,m,p,q,alg_product,opt_product,ratio"
     rows = []
     ratios = []
@@ -89,10 +95,9 @@ def _cmd_ratio(args: argparse.Namespace) -> int:
             print(row)
     if args.summary:
         print(f"max={max(ratios):.6f} mean={sum(ratios) / len(ratios):.6f}")
-    return 0
 
 
-def _cmd_check(args: argparse.Namespace) -> int:
+def _cmd_check(args: argparse.Namespace) -> None:
     inst = core.parse_instance(_read(args.instance))
     alloc, m = core.parse_allocation(_read(args.allocation))
     if alloc.n != inst.n or m != inst.m:
@@ -105,35 +110,28 @@ def _cmd_check(args: argparse.Namespace) -> int:
         f"complete={_flag(report.complete)} disjoint={_flag(report.disjoint)} "
         f"nonwasteful={_flag(report.nonwasteful)} product={value.product}"
     )
-    return 0
 
 
-def _cmd_gen(args: argparse.Namespace) -> int:
+def _cmd_gen(args: argparse.Namespace) -> None:
     if args.m < args.n:
         raise GoodsFewerThanAgentsError(f"need m >= n, got m={args.m}, n={args.n}")
+    # the parsers refuse a larger m, so refuse it here before the n*m draws
+    core._check_good_count(args.m)
     big_prob = _rational(args.big_prob)
     inst = prng.random_instance(args.n, args.m, args.p, args.q, big_prob, args.seed)
-    text = core.serialize_instance(inst)
-    if args.out:
-        _write(args.out, text)
-    print(text, end="")
-    return 0
+    _put_instance(args.out, inst)
 
 
-def _cmd_reduce(args: argparse.Namespace) -> int:
+def _cmd_reduce(args: argparse.Namespace) -> None:
     graph = reductions.parse_pdm(_read(args.matching))
     if args.mode == "np":
         inst = reductions.reduce_pdm(graph, args.value)
     else:
         inst = reductions.reduce_gap4dm(graph, args.value)
-    text = core.serialize_instance(inst)
-    if args.out:
-        _write(args.out, text)
-    print(text, end="")
-    return 0
+    _put_instance(args.out, inst)
 
 
-def _cmd_verify_lp(args: argparse.Namespace) -> int:
+def _cmd_verify_lp(args: argparse.Namespace) -> None:
     cert = reductions.parse_certificate(_read(args.certificate))
     report = reductions.verify_apx_lp(cert, _rational(args.eps))
     if report.feasible:
@@ -144,7 +142,6 @@ def _cmd_verify_lp(args: argparse.Namespace) -> int:
     for name in ("mass", "type4", "big_supply", "small_supply"):
         print(f"slack {name}={report.slacks[name]}")
     print(f"objective={report.objective:.12f}")
-    return 0
 
 
 class _Parser(argparse.ArgumentParser):
@@ -228,12 +225,13 @@ _EXIT_CODES = (
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        args.func(args)
     except tuple(kind for kind, _ in _EXIT_CODES) as exc:
         code = next(code for kind, code in _EXIT_CODES if isinstance(exc, kind))
         hint = " (run `exact`, or treat the instance as dichotomous)"
         print(f"error: {exc}{hint if code == EXIT_ZERO_SMALL else ''}", file=sys.stderr)
         return code
+    return 0
 
 
 if __name__ == "__main__":

@@ -98,8 +98,10 @@ class Instance:
 class Allocation:
     """One bundle of good indices per agent.
 
-    The container itself does not force a partition; validate_allocation
-    reports disjointness and coverage so that checking stays explicit.
+    Construction is the one place bundles are frozen: any iterables of goods
+    may be passed, and callers hand over their working sets as they are. The
+    container itself does not force a partition; validate_allocation reports
+    disjointness and coverage so that checking stays explicit.
     """
 
     bundles: tuple[frozenset[int], ...]
@@ -122,7 +124,7 @@ class Allocation:
         bundles: list[set[int]] = [set() for _ in range(n)]
         for g, a in enumerate(owners):
             bundles[a].add(g)
-        return cls(tuple(frozenset(b) for b in bundles))
+        return cls(bundles)
 
     def owner_of(self) -> dict[int, int]:
         """Map each assigned good to its owner; a duplicated good keeps the lowest agent."""
@@ -219,20 +221,13 @@ def validate_allocation(inst: Instance, alloc: Allocation) -> ValidationReport:
     """
     if alloc.n != inst.n:
         raise ValueError(f"allocation has {alloc.n} bundles for {inst.n} agents")
-    seen: set[int] = set()
-    duplicated = False
-    bad: set[int] = set()
-    for bundle in alloc.bundles:
-        for g in bundle:
-            if not 0 <= g < inst.m:
-                bad.add(g)
-            if g in seen:
-                duplicated = True
-            seen.add(g)
-    complete = seen >= set(range(inst.m))
+    held = frozenset().union(*alloc.bundles)
+    disjoint = len(held) == sum(map(len, alloc.bundles))
+    out_of_range = tuple(sorted(held.difference(range(inst.m))))
+    complete = len(held) - len(out_of_range) == inst.m
     inside = all(bundle <= inst.big_sets[i] for i, bundle in enumerate(alloc.bundles))
-    nonwasteful = inside and seen == set(inst.big_goods)
-    return ValidationReport(complete, not duplicated, nonwasteful, tuple(sorted(bad)))
+    nonwasteful = inside and held == inst.big_goods
+    return ValidationReport(complete, disjoint, nonwasteful, out_of_range)
 
 
 def _int_fields(line: str, what: str) -> list[int]:

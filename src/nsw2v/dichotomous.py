@@ -17,12 +17,10 @@ from .core import Allocation, Instance, validate_allocation
 def initial_nonwasteful(inst: Instance) -> Allocation:
     """Greedy seed: each big good, in index order, goes to a least-loaded eligible agent."""
     bundles: list[set[int]] = [set() for _ in range(inst.n)]
-    loads = [0] * inst.n
     for g in sorted(inst.big_goods):
-        owner = min(inst.big_for[g], key=lambda i: (loads[i], i))
+        owner = min(inst.big_for[g], key=lambda i: (len(bundles[i]), i))
         bundles[owner].add(g)
-        loads[owner] += 1
-    return Allocation(tuple(frozenset(b) for b in bundles))
+    return Allocation(bundles)
 
 
 def _unloading_path(inst: Instance, bundles: list[set[int]]) -> list[int] | None:
@@ -36,7 +34,8 @@ def _unloading_path(inst: Instance, bundles: list[set[int]]) -> list[int] | None
     procedure deterministic. The searches of one call share their visited
     set: everything a failed source reaches sits at most one load below it,
     and no later source is heavier, so an agent seen once can neither serve
-    as a later source nor lie on a later path.
+    as a later source nor lie on a later path. The path is listed from dst
+    back to src, the order in which the trade applies it.
     """
     loads = [len(b) for b in bundles]
     seen: set[int] = set()
@@ -61,7 +60,6 @@ def _unloading_path(inst: Instance, bundles: list[set[int]]) -> list[int] | None
             path = [best[1]]
             while parent[path[-1]] is not None:
                 path.append(parent[path[-1]])
-            path.reverse()
             return path
     return None
 
@@ -82,14 +80,12 @@ def balance_loads(inst: Instance, big_alloc: Allocation) -> Allocation:
         path = _unloading_path(inst, bundles)
         if path is None:
             break
-        # pick all goods against the pre-trade bundles, then apply
-        moves = []
-        for u, w in zip(path, path[1:]):
-            moves.append((u, w, min(bundles[u] & inst.big_sets[w])))
-        for u, w, g in moves:
+        # from the sink back, so each agent gives from its pre-trade bundle before it receives
+        for w, u in zip(path, path[1:]):
+            g = min(bundles[u] & inst.big_sets[w])
             bundles[u].remove(g)
             bundles[w].add(g)
-    return Allocation(tuple(frozenset(b) for b in bundles))
+    return Allocation(bundles)
 
 
 def solve_dichotomous(inst: Instance) -> Allocation:

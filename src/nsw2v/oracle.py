@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from collections import Counter, deque
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Mapping
 
 from .balance import two_value_approx
 from .core import Allocation, Instance, NswValue, nsw_product, validate_allocation
@@ -40,27 +40,33 @@ def state_count(inst: Instance, group_identical: bool = False) -> int:
     return math.prod(math.comb(s + inst.n - 1, inst.n - 1) for s in Counter(inst.big_for).values())
 
 
-def _search(inst: Instance, reference_owner: Sequence[int] | None) -> tuple[int, list[int]]:
-    """Best product and owner vector, by a forward DP over goods on agent-value vectors.
+def _search(
+    inst: Instance, reference_owner: Mapping[int, int] | None, states: int, budget: int
+) -> tuple[int, Allocation]:
+    """Best product and its witness, by a forward DP over goods on agent-value vectors.
 
-    Best means highest product, then (when reference_owner is given) most
-    goods where the reference put them, then the lexicographically least
-    owner vector. After g goods, each value vector, packed w bits per agent,
-    keeps the least score mismatches * n**g + (owner digits in base n) among
-    the prefixes reaching it. Prefixes reaching the same vector have the same
-    completions, so this loses no optimum and no tie-break. The last good is
-    scored on the fly, so the largest layer is never stored.
+    Best means highest product, then (when reference_owner, a map from goods
+    to agents, is given) most goods where the reference put them, then the
+    lexicographically least owner vector. After g goods, each value vector,
+    packed w bits per agent, keeps the least score mismatches * n**g + (owner
+    digits in base n) among the prefixes reaching it. Prefixes reaching the
+    same vector have the same completions, so this loses no optimum and no
+    tie-break. The last good is scored on the fly, so the largest layer is
+    never stored. When states, the caller's state_count, exceed the budget,
+    BudgetExceededError is raised first.
     """
+    if states > budget:
+        raise BudgetExceededError(f"{states} states exceed the budget of {budget}")
     n, m = inst.n, inst.m
     if m == 0:
-        return 0, []
+        return 0, Allocation.from_owners(n, [])
     w = (inst.q * m).bit_length()
     moves = []  # per good and owner: (owner, value, score increment)
     for g in range(m):
         miss = n ** (g + 1)
         moves.append([
             (a, inst.value(a, g),
-             a + miss * (reference_owner is not None and reference_owner[g] != a))
+             a + miss * (reference_owner is not None and reference_owner.get(g) != a))
             for a in range(n)
         ])
     layer = {0: 0}
@@ -91,7 +97,7 @@ def _search(inst: Instance, reference_owner: Sequence[int] | None) -> tuple[int,
     for _ in range(m):
         best_score, a = divmod(best_score, n)
         owners.append(a)
-    return best_prod, owners[::-1]
+    return best_prod, Allocation.from_owners(n, owners[::-1])
 
 
 def exact_optimum(
@@ -107,11 +113,8 @@ def exact_optimum(
     against, the grouped one being smaller; the search and its answer are
     the same either way.
     """
-    states = state_count(inst, group_identical)
-    if states > budget:
-        raise BudgetExceededError(f"{states} states exceed the budget of {budget}")
-    best_prod, best_assign = _search(inst, None)
-    return NswValue(inst.n, inst.q, best_prod), Allocation.from_owners(inst.n, best_assign)
+    best_prod, witness = _search(inst, None, state_count(inst, group_identical), budget)
+    return NswValue(inst.n, inst.q, best_prod), witness
 
 
 def closest_optimum(
@@ -128,13 +131,7 @@ def closest_optimum(
     report = validate_allocation(inst, reference)
     if report.out_of_range or not report.disjoint:
         raise ValueError("closest_optimum needs a reference holding goods of 0..m-1 at most once")
-    states = state_count(inst)
-    if states > budget:
-        raise BudgetExceededError(f"{states} states exceed the budget of {budget}")
-    owners = reference.owner_of()
-    ref_owner = [owners.get(g, -1) for g in range(inst.m)]
-    _, best_assign = _search(inst, ref_owner)
-    return Allocation.from_owners(inst.n, best_assign)
+    return _search(inst, reference.owner_of(), state_count(inst), budget)[1]
 
 
 @dataclass(frozen=True)

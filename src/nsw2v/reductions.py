@@ -63,6 +63,25 @@ def _vertex_goods(g: PdmInstance, edge: tuple[int, ...]) -> frozenset[int]:
     return frozenset(k * g.n + v for k, v in enumerate(edge))
 
 
+def _edge_agents(g: PdmInstance, p: int, q: int, dummies: int) -> Instance:
+    """One agent per edge, big on exactly its vertex goods; dummy goods come after those."""
+    big_sets = tuple(_vertex_goods(g, e) for e in g.edges)
+    return Instance(n=g.m, m=g.dim * g.n + dummies, p=p, q=q, big_sets=big_sets)
+
+
+def _clash(g: PdmInstance, chosen: Iterable[int]) -> str | None:
+    """Why the edge indices, in order, are not vertex-disjoint edges of g; None if they are."""
+    used: set[tuple[int, int]] = set()
+    for idx in chosen:
+        if not 0 <= idx < g.m:
+            return f"edge index {idx} outside 0..{g.m - 1}"
+        vertices = set(enumerate(g.edges[idx]))
+        if not used.isdisjoint(vertices):
+            return "matching edges share a vertex"
+        used |= vertices
+    return None
+
+
 def reduce_pdm(g: PdmInstance, q: int) -> Instance:
     """Perfect-matching instance: one agent per edge, values (dim, q).
 
@@ -79,9 +98,7 @@ def reduce_pdm(g: PdmInstance, q: int) -> Instance:
         raise ReductionError(f"p={p} and q={q} must be coprime")
     if g.m < g.n:
         raise ReductionError(f"need at least n={g.n} edges, got {g.m}")
-    goods = p * g.n + q * (g.m - g.n)
-    big_sets = tuple(_vertex_goods(g, e) for e in g.edges)
-    return Instance(n=g.m, m=goods, p=p, q=q, big_sets=big_sets)
+    return _edge_agents(g, p, q, q * (g.m - g.n))
 
 
 def reduce_gap4dm(g: PdmInstance, k: int) -> Instance:
@@ -97,9 +114,7 @@ def reduce_gap4dm(g: PdmInstance, k: int) -> Instance:
         raise ReductionError(f"need m = 3n edges, got m={g.m} with n={g.n}")
     if not 0 <= k <= g.n:
         raise ReductionError(f"target matching size must lie in 0..{g.n}, got {k}")
-    goods = 4 * g.n + 5 * (g.m - k)
-    big_sets = tuple(_vertex_goods(g, e) for e in g.edges)
-    return Instance(n=g.m, m=goods, p=4, q=5, big_sets=big_sets)
+    return _edge_agents(g, 4, 5, 5 * (g.m - k))
 
 
 def matching_to_allocation(
@@ -111,31 +126,27 @@ def matching_to_allocation(
     take q dummies each. The matching must be perfect and inst must come from
     reduce_pdm (or reduce_gap4dm with k = n) on the same hypergraph.
     """
-    chosen = sorted(set(matching))
-    if len(chosen) != g.n:
-        raise ValueError(f"perfect matching needs exactly {g.n} edges, got {len(chosen)}")
-    used: set[tuple[int, int]] = set()
-    for idx in chosen:
-        if not 0 <= idx < g.m:
-            raise ValueError(f"edge index {idx} outside 0..{g.m - 1}")
-        for k, v in enumerate(g.edges[idx]):
-            if (k, v) in used:
-                raise ValueError("matching edges share a vertex")
-            used.add((k, v))
+    matched = set(matching)
+    if len(matched) != g.n:
+        raise ValueError(f"perfect matching needs exactly {g.n} edges, got {len(matched)}")
+    # in ascending order, so the problem named is the one met first by index
+    problem = _clash(g, sorted(matched))
+    if problem is not None:
+        raise ValueError(problem)
     if inst.n != g.m:
         raise ValueError("instance does not have one agent per edge")
     dummy_start = g.dim * g.n
-    unmatched = [i for i in range(g.m) if i not in set(chosen)]
+    unmatched = [i for i in range(g.m) if i not in matched]
     if inst.q * len(unmatched) != inst.m - dummy_start:
         raise ValueError("instance dummy goods do not fit the unmatched agents")
     bundles: list[frozenset[int]] = [frozenset()] * g.m
-    for idx in chosen:
+    for idx in matched:
         bundles[idx] = _vertex_goods(g, g.edges[idx])
     next_dummy = dummy_start
     for idx in unmatched:
         bundles[idx] = frozenset(range(next_dummy, next_dummy + inst.q))
         next_dummy += inst.q
-    return Allocation(tuple(bundles))
+    return Allocation(bundles)
 
 
 def find_perfect_matching(g: PdmInstance) -> frozenset[int] | None:
@@ -144,17 +155,7 @@ def find_perfect_matching(g: PdmInstance) -> frozenset[int] | None:
     Desk-scale only: scans every n-subset of edges in lexicographic order.
     """
     for combo in combinations(range(g.m), g.n):
-        used: set[tuple[int, int]] = set()
-        ok = True
-        for idx in combo:
-            for k, v in enumerate(g.edges[idx]):
-                if (k, v) in used:
-                    ok = False
-                    break
-                used.add((k, v))
-            if not ok:
-                break
-        if ok:
+        if _clash(g, combo) is None:
             return frozenset(combo)
     return None
 
@@ -197,9 +198,6 @@ class LpCertificate:
                 raise ValueError(f"valuation type ({i}, {j}) outside the 5x7 grid")
         object.__setattr__(self, "x", entries)
         object.__setattr__(self, "alpha", Fraction(self.alpha))
-
-    def fraction(self, i: int, j: int) -> Fraction:
-        return self.x.get((i, j), Fraction(0))
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,7 @@ import itertools
 import math
 from collections import deque
 
-from nsw2v import Instance
+from nsw2v import Instance, ValidationReport
 
 
 def example1() -> Instance:
@@ -221,3 +221,23 @@ def scan_phase2(inst: Instance, bundles) -> tuple[frozenset[int], ...]:
         bundles[poorest].add(g)
         values[poorest] += inst.p
     return tuple(frozenset(b) for b in bundles)
+
+
+def scan_validate(inst: Instance, alloc) -> ValidationReport:
+    """validate_allocation by one pass over every held good, without set algebra."""
+    if alloc.n != inst.n:
+        raise ValueError(f"allocation has {alloc.n} bundles for {inst.n} agents")
+    seen: set[int] = set()
+    duplicated = False
+    bad: set[int] = set()
+    for bundle in alloc.bundles:
+        for g in bundle:
+            if not 0 <= g < inst.m:
+                bad.add(g)
+            if g in seen:
+                duplicated = True
+            seen.add(g)
+    complete = seen >= set(range(inst.m))
+    inside = all(bundle <= inst.big_sets[i] for i, bundle in enumerate(alloc.bundles))
+    nonwasteful = inside and seen == set(inst.big_goods)
+    return ValidationReport(complete, not duplicated, nonwasteful, tuple(sorted(bad)))

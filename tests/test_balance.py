@@ -9,6 +9,7 @@ from nsw2v import (
     Allocation,
     GoodsFewerThanAgentsError,
     Instance,
+    LocalSearchInvariantError,
     ZeroSmallValueError,
     nsw_product,
     phase2_assign_small,
@@ -175,6 +176,19 @@ def test_general_rebalance_accepts_handmade_nonwasteful_input():
     values = valuation_profile(inst, result).values
     assert sorted(values) == [2, 4]
     assert nsw_product(inst, result).product == 8
+
+
+def test_strict_local_search_names_the_broken_phase1_invariant():
+    # the skewed start above: the first move hands agent 1 a good it values big
+    inst = Instance(2, 3, 1, 2, (frozenset({0, 1, 2}), frozenset({0, 1, 2})))
+    skewed = Allocation((frozenset({0, 1, 2}), frozenset()))
+    with pytest.raises(LocalSearchInvariantError, match="moved good 0 is big for receiver 1"):
+        phase3_local_search(inst, phase2_assign_small(inst, skewed), strict_properties=True)
+    # the richest agent, 1, holds good 1, which is small for it
+    inst = Instance(3, 5, 1, 3, (frozenset(), frozenset({0, 3, 4}), frozenset({1})))
+    start = Allocation((frozenset(), frozenset({0, 1, 4}), frozenset({2, 3})))
+    with pytest.raises(LocalSearchInvariantError, match="sender 1 holds a good small for itself"):
+        phase3_local_search(inst, start, strict_properties=True)
 
 
 def test_solver_never_loses_to_the_greedy_completion():

@@ -183,6 +183,15 @@ def test_exit_code_parse_failure_for_a_huge_good_count(example1_file, tmp_path, 
     assert capsys.readouterr().err.splitlines() == [
         "error: good count 1000000000000 exceeds the limit of 1000000",
     ] * 3
+    # gen refuses an m its own output could not be read back with, before drawing
+    assert cli.main(["gen", "1", "1000001", "1", "2", "0"]) == cli.EXIT_PARSE
+    assert cli.main(["gen", "1", "1000000000000", "1", "2", "0"]) == cli.EXIT_PARSE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "error: good count 1000001 exceeds the limit of 1000000",
+        "error: good count 1000000000000 exceeds the limit of 1000000",
+    ]
 
 
 def test_exit_code_usage_error_is_a_parse_failure(capsys):

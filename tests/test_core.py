@@ -23,7 +23,7 @@ from nsw2v import (
 from nsw2v.core import MAX_GOODS
 from nsw2v.prng import random_instance, splitmix64
 
-from _fixtures import example1, raw_values
+from _fixtures import example1, raw_values, scan_validate
 
 
 # ---------------------------------------------------------------- canonicalize
@@ -207,6 +207,35 @@ def test_validate_empty_allocation_on_empty_instance():
     inst = Instance(1, 0, 1, 2, (frozenset(),))
     report = validate_allocation(inst, Allocation((frozenset(),)))
     assert (report.complete, report.disjoint, report.nonwasteful) == (True, True, True)
+
+
+def test_validate_matches_the_per_good_reference():
+    # bundles draw goods from -2..m+1, so duplicates, negatives and goods >= m all
+    # occur; a third of the cases start from a partition, half of those pruned to
+    # the big goods, so complete and nonwasteful reports occur too
+    stream = splitmix64(4242)
+    reports = set()
+    for _ in range(2000):
+        n = 1 + next(stream) % 4
+        m = next(stream) % 7
+        inst = random_instance(n, m, 1, 3, Fraction(1, 2), next(stream))
+        if next(stream) % 3:
+            bundles = [
+                [next(stream) % (m + 4) - 2 for _ in range(next(stream) % 5)] for _ in range(n)
+            ]
+        else:
+            owners = [next(stream) % n for _ in range(m)]
+            bundles = [[g for g in range(m) if owners[g] == i] for i in range(n)]
+            if next(stream) % 2:
+                bundles = [[g for g in b if g in inst.big_sets[i]] for i, b in enumerate(bundles)]
+        alloc = Allocation(bundles)
+        expected = scan_validate(inst, alloc)
+        assert validate_allocation(inst, alloc) == expected
+        reports.add((n == 1, m == 0, expected.complete, expected.disjoint, expected.nonwasteful,
+                     bool(expected.out_of_range)))
+    # every flag is seen both ways, on one agent and on no goods as well
+    for k in range(6):
+        assert {key[k] for key in reports} == {False, True}
 
 
 # ---------------------------------------------------------------------- stream
