@@ -33,7 +33,9 @@ def phase2_assign_small(inst: Instance, alloc: Allocation) -> Allocation:
     """Give each globally-small good, in index order, to a poorest agent (ties: lowest index).
 
     The agents sit in a heap of (value, index), so each good takes the top
-    entry and replaces it with the agent's raised value.
+    entry and replaces it with the agent's raised value. A non-wasteful input
+    holds only goods big for their holders, so each start value is q times the
+    bundle size.
     """
     if inst.p == 0:
         raise ZeroSmallValueError("greedy completion needs p >= 1")
@@ -41,7 +43,7 @@ def phase2_assign_small(inst: Instance, alloc: Allocation) -> Allocation:
     if not (report.disjoint and report.nonwasteful):
         raise ValueError("phase 2 expects a disjoint non-wasteful allocation")
     bundles = [set(b) for b in alloc.bundles]
-    heap = [(value, i) for i, value in enumerate(valuation_profile(inst, alloc).values)]
+    heap = [(inst.q * len(b), i) for i, b in enumerate(bundles)]
     heapq.heapify(heap)
     for g in sorted(inst.small_goods):
         value, poorest = heap[0]

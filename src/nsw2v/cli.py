@@ -45,10 +45,26 @@ def _flag(value: bool) -> str:
     return "true" if value else "false"
 
 
+def _decimal(value: int) -> str:
+    """str(value) past the interpreter's int-to-str digit limit (4300 by default).
+
+    A welfare product of a few thousand agents has more digits than that. The
+    limit stays in force for everything else, the parsers' int() included.
+    """
+    if not hasattr(sys, "set_int_max_str_digits"):  # interpreters without the limit
+        return str(value)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(value)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def _put_allocation(out: str | None, m: int, alloc: core.Allocation, value: core.NswValue) -> None:
     if out:
         _write(out, core.serialize_allocation(alloc, m))
-    print(f"product={value.product} nsw_scaled={value.float_scaled:.6f}")
+    print(f"product={_decimal(value.product)} nsw_scaled={value.float_scaled:.6f}")
 
 
 def _put_instance(out: str | None, inst: core.Instance) -> None:
@@ -108,7 +124,7 @@ def _cmd_check(args: argparse.Namespace) -> None:
     value = core.nsw_product(inst, alloc)
     print(
         f"complete={_flag(report.complete)} disjoint={_flag(report.disjoint)} "
-        f"nonwasteful={_flag(report.nonwasteful)} product={value.product}"
+        f"nonwasteful={_flag(report.nonwasteful)} product={_decimal(value.product)}"
     )
 
 

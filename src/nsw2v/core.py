@@ -17,6 +17,8 @@ INSTANCE_MAGIC = "nsw2v 1"
 ALLOCATION_MAGIC = "alloc 1"
 # the largest good count a file may declare; the solver and validation do O(m) work
 MAX_GOODS = 10**6
+# the most (agent, good) pairs prng.random_big_sets draws, one stream value each
+MAX_PAIRS = 10**7
 
 
 class ParseError(ValueError):

@@ -17,9 +17,12 @@ from .core import Allocation, Instance, validate_allocation
 def initial_nonwasteful(inst: Instance) -> Allocation:
     """Greedy seed: each big good, in index order, goes to a least-loaded eligible agent."""
     bundles: list[set[int]] = [set() for _ in range(inst.n)]
+    loads = [0] * inst.n
     for g in sorted(inst.big_goods):
-        owner = min(inst.big_for[g], key=lambda i: (len(bundles[i]), i))
+        # big_for lists agents in ascending order, so min breaks load ties toward the lowest index
+        owner = min(inst.big_for[g], key=loads.__getitem__)
         bundles[owner].add(g)
+        loads[owner] += 1
     return Allocation(bundles)
 
 
@@ -28,19 +31,25 @@ def _unloading_path(inst: Instance, bundles: list[set[int]]) -> list[int] | None
 
     The exchange graph has an edge (u, w) whenever u holds a good that is big
     for w. Sources are tried in descending load order (ties: lowest index)
-    until one has load below two; a BFS from each, visiting neighbours in
-    ascending index order over Instance.big_for, picks the lowest-load
-    reachable destination (ties: lowest index), which keeps the whole
-    procedure deterministic. The searches of one call share their visited
-    set: everything a failed source reaches sits at most one load below it,
-    and no later source is heavier, so an agent seen once can neither serve
-    as a later source nor lie on a later path. The path is listed from dst
-    back to src, the order in which the trade applies it.
+    until one sits below the least load plus two, which no end can lie two
+    loads beneath; a BFS from each, visiting neighbours in ascending index
+    order over Instance.big_for, picks the lowest-load reachable destination
+    (ties: lowest index), which keeps the whole procedure deterministic. A
+    search ends as soon as it discovers the target, the agent with the least
+    (load, index) overall: no reachable agent can beat it, and its parents
+    already form the path. The searches of one call share their visited set:
+    everything a failed source reaches sits at most one load below it, and no
+    later source is heavier, so an agent seen once can neither serve as a
+    later source nor lie on a later path, nor be the target. The path is
+    listed from dst back to src, the order in which the trade applies it.
     """
     loads = [len(b) for b in bundles]
+    floor = min(loads)
+    target = loads.index(floor)
     seen: set[int] = set()
-    for src in sorted(range(inst.n), key=lambda i: (-loads[i], i)):
-        if loads[src] < 2:
+    # sorted is stable under reverse, so equal loads stay in ascending index order
+    for src in sorted(range(inst.n), key=loads.__getitem__, reverse=True):
+        if loads[src] < floor + 2:
             return None
         if src in seen:
             continue
@@ -48,7 +57,7 @@ def _unloading_path(inst: Instance, bundles: list[set[int]]) -> list[int] | None
         parent: dict[int, int | None] = {src: None}
         queue = deque([src])
         best: tuple[int, int] | None = None
-        while queue:
+        while queue and best != (floor, target):
             u = queue.popleft()
             for w in sorted({w for g in bundles[u] for w in inst.big_for[g]} - seen):
                 seen.add(w)

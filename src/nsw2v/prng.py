@@ -9,7 +9,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterator
 
-from .core import Instance
+from .core import MAX_PAIRS, Instance
 
 _MASK = (1 << 64) - 1
 
@@ -32,10 +32,13 @@ def random_big_sets(
 
     Consumes exactly one stream value per pair, agents outermost (row-major),
     so the draw for a pair never shifts when other parameters stay fixed.
+    More than core.MAX_PAIRS pairs are refused before any draw.
     """
     big_prob = Fraction(big_prob)
     if not 0 <= big_prob <= 1:
         raise ValueError(f"big_prob must lie in [0, 1], got {big_prob}")
+    if n * m > MAX_PAIRS:
+        raise ValueError(f"pair count n*m = {n * m} exceeds the limit of {MAX_PAIRS}")
     threshold = (big_prob.numerator << 64) // big_prob.denominator
     stream = splitmix64(seed)
     # the generator must be drained good by good even when filtering

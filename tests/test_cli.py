@@ -2,7 +2,7 @@
 
 import pytest
 
-from nsw2v import cli, parse_allocation, parse_instance, serialize_certificate
+from nsw2v import cli, parse_allocation, parse_instance, prng, serialize_certificate
 from nsw2v.reductions import optimal_certificate
 
 EXAMPLE1 = "nsw2v 1\n2 5 2 3\n0 1\n0 1\n"
@@ -19,6 +19,31 @@ def example1_file(tmp_path):
 def test_solve_prints_product_and_scaled_welfare(example1_file, capsys):
     assert cli.main(["solve", example1_file]) == 0
     assert capsys.readouterr().out == "product=35 nsw_scaled=1.972027\n"
+
+
+def _decimal_by_blocks(x: int) -> str:
+    # the interpreter caps str(int) at 4300 digits; 1000-digit blocks stay under the cap
+    blocks = []
+    while x:
+        x, block = divmod(x, 10**1000)
+        blocks.append(block)
+    return str(blocks[-1]) + "".join(f"{block:01000d}" for block in reversed(blocks[:-1]))
+
+
+def test_solve_and_check_print_products_past_the_int_digit_limit(tmp_path, capsys):
+    # 2200 agents, each valuing its own good at 99: a 4391-digit product
+    inst = tmp_path / "wide.nsw"
+    inst.write_text("nsw2v 1\n2200 2200 1 99\n" + "".join(f"{i}\n" for i in range(2200)), encoding="utf-8")
+    out = tmp_path / "wide.alloc"
+    product = _decimal_by_blocks(99**2200)
+    assert len(product) == 4391
+    assert cli.main(["solve", str(inst), "--out", str(out)]) == 0
+    assert capsys.readouterr().out == f"product={product} nsw_scaled=1.000000\n"
+    assert cli.main(["check", str(inst), str(out)]) == 0
+    assert capsys.readouterr().out == f"complete=true disjoint=true nonwasteful=true product={product}\n"
+    # the parsers keep the limit: a 4301-digit field is still refused
+    inst.write_text("nsw2v 1\n1 1 1 " + "9" * 4301 + "\n0\n", encoding="utf-8")
+    assert cli.main(["solve", str(inst)]) == cli.EXIT_PARSE
 
 
 def test_solve_writes_a_parseable_allocation(example1_file, tmp_path, capsys):
@@ -191,6 +216,22 @@ def test_exit_code_parse_failure_for_a_huge_good_count(example1_file, tmp_path, 
     assert captured.err.splitlines() == [
         "error: good count 1000001 exceeds the limit of 1000000",
         "error: good count 1000000000000 exceeds the limit of 1000000",
+    ]
+
+
+def test_gen_refuses_more_pairs_than_the_limit_before_drawing(monkeypatch, capsys):
+    # n = m = 10^6 passes both size checks; its 10^12 draws would run for days
+    def no_stream(seed):
+        raise AssertionError("gen drew from the stream")
+
+    monkeypatch.setattr(prng, "splitmix64", no_stream)
+    assert cli.main(["gen", "1000000", "1000000", "1", "2", "1/2"]) == cli.EXIT_PARSE
+    assert cli.main(["gen", "11", "1000000", "1", "2", "0"]) == cli.EXIT_PARSE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "error: pair count n*m = 1000000000000 exceeds the limit of 10000000",
+        "error: pair count n*m = 11000000 exceeds the limit of 10000000",
     ]
 
 

@@ -20,8 +20,9 @@ from nsw2v import (
     validate_allocation,
     valuation_profile,
 )
-from nsw2v.core import MAX_GOODS
-from nsw2v.prng import random_instance, splitmix64
+import nsw2v.prng as prng
+from nsw2v.core import MAX_GOODS, MAX_PAIRS
+from nsw2v.prng import random_big_sets, random_instance, splitmix64
 
 from _fixtures import example1, raw_values, scan_validate
 
@@ -245,6 +246,22 @@ def test_splitmix64_matches_the_published_stream():
     assert [next(stream) for _ in range(3)] == [
         0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F,
     ]
+
+
+class Drew(Exception):
+    """Raised by a stand-in stream, so a test sees a draw start without making it."""
+
+
+def test_random_big_sets_refuses_more_pairs_than_the_limit_before_any_draw(monkeypatch):
+    def no_stream(seed):
+        raise Drew
+
+    monkeypatch.setattr(prng, "splitmix64", no_stream)
+    with pytest.raises(ValueError, match=f"pair count n\\*m = {MAX_PAIRS + 1} exceeds the limit"):
+        random_big_sets(1, MAX_PAIRS + 1, Fraction(1, 2), 0)
+    # the limit itself is allowed: the stream is reached
+    with pytest.raises(Drew):
+        random_big_sets(10, MAX_PAIRS // 10, Fraction(1, 2), 0)
 
 
 # ---------------------------------------------------------------- file formats

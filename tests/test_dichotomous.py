@@ -1,5 +1,6 @@
 """Big-good placement tests: greedy seed, exchange-path balancing, load shapes."""
 
+import random
 from collections import deque
 from fractions import Fraction
 
@@ -7,6 +8,7 @@ from nsw2v import Allocation, Instance, initial_nonwasteful, balance_loads, solv
 from nsw2v import validate_allocation
 import nsw2v.dichotomous as phase1
 from nsw2v.prng import random_big_sets, splitmix64
+from nsw2v.reductions import PdmInstance, reduce_gap4dm
 
 from _fixtures import (
     best_sorted_loads,
@@ -163,25 +165,40 @@ def test_balance_matches_the_scan_reference_from_seeded_and_lopsided_starts():
     assert any(failures[-1] >= 2 for failures in all_failures)
 
 
-def test_each_path_search_dequeues_every_agent_at_most_once(monkeypatch):
-    # the searches from the sources of one call share their visited set, so a call
-    # dequeues at most n agents, however many sources it tries
-    pops: list[int] = []
+@pytest.fixture
+def path_searches(monkeypatch):
+    """Per _unloading_path call, the BFS queues it made; each counts the agents it dequeued."""
+    calls: list[list[deque]] = []
 
     class CountingDeque(deque):
+        def __init__(self, *args):
+            super().__init__(*args)
+            self.pops = 0
+            calls[-1].append(self)
+
         def popleft(self):
-            pops[-1] += 1
+            self.pops += 1
             return super().popleft()
 
     search = phase1._unloading_path
 
     def counted(*args):
-        pops.append(0)
+        calls.append([])
         return search(*args)
 
     monkeypatch.setattr(phase1, "deque", CountingDeque)
     monkeypatch.setattr(phase1, "_unloading_path", counted)
-    # 30 agents, two goods each, every good big for all: the one search fails from all 30
+    return calls
+
+
+def dequeued(calls) -> list[int]:
+    return [sum(queue.pops for queue in call) for call in calls]
+
+
+def test_each_path_search_dequeues_every_agent_at_most_once(path_searches):
+    # the searches from the sources of one call share their visited set, so a call
+    # dequeues at most n agents, however many sources it tries
+    # 30 agents, two goods each, every good big for all: no load is two above the least
     crowded = dichotomous(30, 60, [range(60)] * 30)
     starts = [(crowded, initial_nonwasteful(crowded))]
     stream = splitmix64(1618)
@@ -192,6 +209,47 @@ def test_each_path_search_dequeues_every_agent_at_most_once(monkeypatch):
         inst = Instance(n, m, 1, 2, random_big_sets(n, m, big_prob, next(stream)))
         starts += [(inst, initial_nonwasteful(inst)), (inst, Allocation(lopsided_start(inst)))]
     for inst, start in starts:
-        pops.clear()
+        path_searches.clear()
         balance_loads(inst, start)
+        pops = dequeued(path_searches)
         assert pops and max(pops) <= inst.n
+
+
+def test_a_search_ends_when_it_reaches_the_least_loaded_agent(path_searches):
+    # agent 0 links to every other agent through good 0; agent 4 has the least load,
+    # so the search from agent 0 ends after its first dequeue, with agents 1-4 still queued
+    inst = dichotomous(5, 7, [range(7), {0, 4}, {0, 5}, {0, 6}, {0}])
+    bundles = [{0, 1, 2, 3}, {4}, {5}, {6}, set()]
+    assert phase1._unloading_path(inst, bundles) == [4, 0]
+    assert dequeued(path_searches) == [1]
+    assert len(path_searches[0]) == 1 and list(path_searches[0][0]) == [1, 2, 3, 4]
+
+
+def test_no_source_is_searched_when_every_load_is_within_one_of_the_least(path_searches):
+    # loads 3, 2, 3, 2 with every good big for all: the heavy agents are sources
+    # under a fixed bound of two, but no end can sit two loads below them
+    inst = dichotomous(4, 10, [range(10)] * 4)
+    start = Allocation((frozenset({0, 1, 2}), frozenset({3, 4}), frozenset({5, 6, 7}), frozenset({8, 9})))
+    assert balance_loads(inst, start).bundles == start.bundles
+    assert path_searches == [[]]  # one call, and no BFS queue made
+
+
+def planted_gap4dm(rng: random.Random, size: int) -> Instance:
+    """reduce_gap4dm on a 4-partite hypergraph of 3*size edges holding a planted perfect matching."""
+    perms = [rng.sample(range(size), size) for _ in range(4)]
+    edges = [tuple(perm[i] for perm in perms) for i in range(size)]
+    edges += [tuple(rng.randrange(size) for _ in range(4)) for _ in range(2 * size)]
+    rng.shuffle(edges)
+    return reduce_gap4dm(PdmInstance(4, size, tuple(edges)), size)
+
+
+def test_planted_gap4dm_phase1_matches_the_scan_reference(path_searches):
+    # the planted instances trade along long paths whose searches stop at the least
+    # loaded agent with agents still queued; the bundles stay those of the full scan
+    stopped_early = 0
+    for size, seed in [(20, s) for s in range(6)] + [(60, 0), (60, 1)]:
+        inst = planted_gap4dm(random.Random(seed), size)
+        path_searches.clear()
+        assert solve_dichotomous(inst).bundles == scan_phase1(inst)
+        stopped_early += sum(1 for call in path_searches if call and call[-1])
+    assert stopped_early > 0
