@@ -4,8 +4,8 @@ exact_optimum searches every assignment of goods to agents, keeping exact
 integer products, so its answers are usable as frozen expected values in
 tests. closest_optimum breaks ties among the optima toward a reference
 big-good allocation. Both run one dynamic program over the goods that keeps,
-for each vector of agent values, only the best prefix reaching it; the
-budget is checked against state_count before it starts. Transformation
+for each vector of agent values, only the best prefix reaching it, and first
+refuse an instance whose n^m assignments exceed the budget. Transformation
 graphs describe how two allocations differ, edge by edge, with each good
 labelled by its size class for the two owners.
 """
@@ -28,12 +28,12 @@ class BudgetExceededError(RuntimeError):
 
 
 def state_count(inst: Instance, group_identical: bool = False) -> int:
-    """Number of assignments counted against the budget.
+    """Number of assignments: n^m, the count the search budget caps.
 
-    Without grouping this is n^m. With grouping, goods are grouped by their
-    big_for column: goods valued big by the same agents are interchangeable,
-    so only owner multisets are counted per group. Either count bounds the
-    number of value vectors the search keeps in one layer.
+    With grouping, goods are grouped by their big_for column: goods valued
+    big by the same agents are interchangeable, so only owner multisets are
+    counted per group. Either count bounds the number of value vectors the
+    search keeps in one layer.
     """
     if not group_identical:
         return inst.n ** inst.m
@@ -41,7 +41,7 @@ def state_count(inst: Instance, group_identical: bool = False) -> int:
 
 
 def _search(
-    inst: Instance, reference_owner: Mapping[int, int] | None, states: int, budget: int
+    inst: Instance, reference_owner: Mapping[int, int] | None, budget: int
 ) -> tuple[int, Allocation]:
     """Best product and its witness, by a forward DP over goods on agent-value vectors.
 
@@ -52,12 +52,13 @@ def _search(
     digits in base n) among the prefixes reaching it. Prefixes reaching the
     same vector have the same completions, so this loses no optimum and no
     tie-break. The last good is scored on the fly, so the largest layer is
-    never stored. When states, the caller's state_count, exceed the budget,
-    BudgetExceededError is raised first.
+    never stored. When n^m exceeds the budget, BudgetExceededError is raised
+    first.
     """
-    if states > budget:
-        raise BudgetExceededError(f"{states} states exceed the budget of {budget}")
     n, m = inst.n, inst.m
+    # n^m > budget exactly, without forming n^m: n >= 2 to the budget's bit length exceeds it
+    if n ** min(m, budget.bit_length()) > budget:
+        raise BudgetExceededError(f"{n}^{m} states exceed the budget of {budget}")
     if m == 0:
         return 0, Allocation.from_owners(n, [])
     w = (inst.q * m).bit_length()
@@ -100,20 +101,13 @@ def _search(
     return best_prod, Allocation.from_owners(n, owners[::-1])
 
 
-def exact_optimum(
-    inst: Instance,
-    *,
-    budget: int = DEFAULT_BUDGET,
-    group_identical: bool = False,
-) -> tuple[NswValue, Allocation]:
+def exact_optimum(inst: Instance, *, budget: int = DEFAULT_BUDGET) -> tuple[NswValue, Allocation]:
     """Maximum welfare product over all n^m assignments, with a witness.
 
     The witness is the lexicographically least owner vector among the maxima.
-    group_identical only chooses which state_count the budget is checked
-    against, the grouped one being smaller; the search and its answer are
-    the same either way.
+    BudgetExceededError is raised when n^m exceeds the budget.
     """
-    best_prod, witness = _search(inst, None, state_count(inst, group_identical), budget)
+    best_prod, witness = _search(inst, None, budget)
     return NswValue(inst.n, inst.q, best_prod), witness
 
 
@@ -124,14 +118,14 @@ def closest_optimum(
 
     Among the product maxima, the number of goods whose owner matches the
     reference is maximized; remaining ties go to the lexicographically least
-    owner vector. The budget is checked against the ungrouped state_count.
+    owner vector. BudgetExceededError is raised when n^m exceeds the budget.
     A reference with the wrong number of bundles, a good outside 0..m-1 or a
     good in two bundles raises ValueError.
     """
     report = validate_allocation(inst, reference)
     if report.out_of_range or not report.disjoint:
         raise ValueError("closest_optimum needs a reference holding goods of 0..m-1 at most once")
-    return _search(inst, reference.owner_of(), state_count(inst), budget)[1]
+    return _search(inst, reference.owner_of(), budget)[1]
 
 
 @dataclass(frozen=True)

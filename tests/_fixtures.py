@@ -241,3 +241,47 @@ def scan_validate(inst: Instance, alloc) -> ValidationReport:
     inside = all(bundle <= inst.big_sets[i] for i, bundle in enumerate(alloc.bundles))
     nonwasteful = inside and seen == set(inst.big_goods)
     return ValidationReport(complete, not duplicated, nonwasteful, tuple(sorted(bad)))
+
+
+def four_check_phase3(inst: Instance, bundles) -> tuple[frozenset[int], ...] | str:
+    """Strict phase 3 with all four of the paper's checks, in their original order.
+
+    The package keeps only the sender and moved-good checks, because they
+    imply the other two. Returns the final bundles, or the message of the
+    first check that fails.
+    """
+    bundles = [set(b) for b in bundles]
+    values = [sum(inst.q if g in inst.big_sets[i] else inst.p for g in b) for i, b in enumerate(bundles)]
+    gave_away: set[int] = set()
+    moved: set[int] = set()
+    while True:
+        i1 = min(range(inst.n), key=lambda i: (-values[i], i))
+        i2 = min(range(inst.n), key=lambda i: (values[i], i))
+        if i1 == i2:
+            break
+        v1, v2 = values[i1], values[i2]
+        best = None  # (gain, good, w1, w2)
+        for g in sorted(bundles[i1]):
+            w1 = inst.q if g in inst.big_sets[i1] else inst.p
+            w2 = inst.q if g in inst.big_sets[i2] else inst.p
+            gain = (v1 - w1) * (v2 + w2) - v1 * v2
+            if best is None or gain > best[0]:
+                best = (gain, g, w1, w2)
+        if best is None or best[0] <= 0:
+            break
+        gain, g, w1, w2 = best
+        if not bundles[i1] <= inst.big_sets[i1]:
+            return f"sender {i1} holds a good small for itself while moving good {g}"
+        if i2 in gave_away:
+            return f"receiver {i2} already gave a good away"
+        if g in inst.big_sets[i2]:
+            return f"moved good {g} is big for receiver {i2}"
+        if g in moved:
+            return f"good {g} would move a second time"
+        bundles[i1].remove(g)
+        bundles[i2].add(g)
+        values[i1] -= w1
+        values[i2] += w2
+        gave_away.add(i1)
+        moved.add(g)
+    return tuple(frozenset(b) for b in bundles)

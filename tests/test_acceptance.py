@@ -218,7 +218,7 @@ def test_criterion_5_matching_reduction():
             kept += 1
             # scaled welfare 3 means the product is exactly (3q)^agents
             target = (3 * q) ** graph.m
-            best, _ = exact_optimum(inst, group_identical=True)
+            best, _ = exact_optimum(inst, budget=state_count(inst))
             pm = find_perfect_matching(graph)
             if pm is not None:
                 matched += 1

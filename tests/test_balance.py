@@ -1,5 +1,6 @@
 """Greedy completion and local-search tests."""
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -21,7 +22,14 @@ from nsw2v import (
 )
 from nsw2v.prng import random_instance, splitmix64
 
-from _fixtures import brute_best, example1, lopsided_start, raw_values, scan_phase2
+from _fixtures import (
+    brute_best,
+    example1,
+    four_check_phase3,
+    lopsided_start,
+    raw_values,
+    scan_phase2,
+)
 
 
 # --------------------------------------------------------------------- phase 2
@@ -189,6 +197,28 @@ def test_strict_local_search_names_the_broken_phase1_invariant():
     start = Allocation((frozenset(), frozenset({0, 1, 4}), frozenset({2, 3})))
     with pytest.raises(LocalSearchInvariantError, match="sender 1 holds a good small for itself"):
         phase3_local_search(inst, start, strict_properties=True)
+
+
+def test_strict_local_search_fails_first_where_the_four_check_reference_does():
+    # every big-set choice and every complete allocation at n=2, m=4 and n=3, m=3:
+    # the two checks left in the package fire on exactly the runs, and with
+    # exactly the messages, of the loop that also checked the two they imply
+    fired = set()
+    for p, q in ((1, 2), (1, 3), (2, 3), (3, 5)):
+        for n, m in ((2, 4), (3, 3)):
+            subsets = [frozenset(c) for r in range(m + 1) for c in itertools.combinations(range(m), r)]
+            for big_sets in itertools.product(subsets, repeat=n):
+                inst = Instance(n, m, p, q, big_sets)
+                for owners in itertools.product(range(n), repeat=m):
+                    start = Allocation.from_owners(n, owners)
+                    expect = four_check_phase3(inst, start.bundles)
+                    try:
+                        got = phase3_local_search(inst, start, strict_properties=True).bundles
+                    except LocalSearchInvariantError as exc:
+                        got = str(exc)
+                        fired.add(got.split()[0])
+                    assert got == expect
+    assert fired == {"sender", "moved"}
 
 
 def test_solver_never_loses_to_the_greedy_completion():

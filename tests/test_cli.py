@@ -268,6 +268,22 @@ def test_exit_code_budget_exceeded(tmp_path, capsys):
     assert cli.main(["exact", str(big), "--budget", "100000"]) == cli.EXIT_BUDGET
 
 
+def test_exit_code_budget_exceeded_on_a_count_past_the_int_digit_limit(tmp_path, capsys):
+    # 3^10000 has 4772 digits, more than str() of an int allows by default
+    huge = tmp_path / "huge.nsw"
+    huge.write_text("nsw2v 1\n3 10000 1 2\n\n\n\n", encoding="utf-8")
+    for command in ("exact", "ratio"):
+        assert cli.main([command, str(huge)]) == cli.EXIT_BUDGET
+        assert capsys.readouterr().err == "error: 3^10000 states exceed the budget of 10000000\n"
+
+
+def test_exact_budget_admits_exactly_n_to_the_m(example1_file, capsys):
+    assert cli.main(["exact", example1_file, "--budget", "32"]) == 0
+    assert capsys.readouterr().out == "product=36 nsw_scaled=2.000000\n"
+    assert cli.main(["exact", example1_file, "--budget", "31"]) == cli.EXIT_BUDGET
+    assert capsys.readouterr().err == "error: 2^5 states exceed the budget of 31\n"
+
+
 def test_exit_code_reduction_out_of_range(tmp_path, capsys):
     pdm = tmp_path / "graph.pdm"
     pdm.write_text(PDM_TEXT, encoding="utf-8")

@@ -50,17 +50,37 @@ def test_exact_optimum_matches_independent_enumeration():
         assert tuple(owners[g] for g in range(m)) == expect_owners
 
 
+def test_optimal_product_is_invariant_under_relabelling():
+    # reordering the agents' big sets or renaming goods leaves the optimal
+    # product where it was, and closest_optimum against the phase-1
+    # allocation reaches the same product
+    stream = splitmix64(0x7E1A)
+    for _ in range(200):
+        n = 1 + next(stream) % 5
+        m = next(stream) % 9
+        q = 2 + next(stream) % 8
+        p = next(stream) % q
+        inst = random_instance(n, m, p, q, Fraction(1, 2), next(stream))
+        best = exact_optimum(inst)[0].product
+        agents = sorted(range(n), key=lambda _: next(stream))
+        goods = sorted(range(m), key=lambda _: next(stream))
+        permuted = Instance(n, m, p, q, tuple(inst.big_sets[a] for a in agents))
+        renamed = Instance(n, m, p, q, tuple(frozenset(goods[g] for g in b) for b in inst.big_sets))
+        assert exact_optimum(permuted)[0].product == best
+        assert exact_optimum(renamed)[0].product == best
+        assert nsw_product(inst, closest_optimum(inst, solve_dichotomous(inst))).product == best
+
+
 def test_exact_optimum_budget_is_enforced():
     inst = Instance(3, 16, 1, 2, tuple(frozenset({i}) for i in range(3)))
     with pytest.raises(BudgetExceededError):
         exact_optimum(inst, budget=1000)
-    # group_identical chooses the state count the budget is checked against:
-    # example1 has 12 grouped states but 2^5 = 32 plain ones
+    # the budget caps n^m, equality included: example1 has 2^5 = 32 states
     inst = example1()
-    best, _ = exact_optimum(inst, budget=12, group_identical=True)
+    best, _ = exact_optimum(inst, budget=32)
     assert best.product == 36
-    with pytest.raises(BudgetExceededError):
-        exact_optimum(inst, budget=12)
+    with pytest.raises(BudgetExceededError, match=r"^2\^5 states exceed the budget of 31$"):
+        exact_optimum(inst, budget=31)
 
 
 def test_state_count_shrinks_under_grouping():
@@ -68,20 +88,6 @@ def test_state_count_shrinks_under_grouping():
     assert state_count(inst, group_identical=False) == 2 ** 5
     # goods 0,1 share a column and goods 2,3,4 share a column
     assert state_count(inst, group_identical=True) == 3 * 4
-
-
-def test_grouped_search_agrees_with_plain():
-    stream = splitmix64(2024)
-    for _ in range(60):
-        n = 2 + next(stream) % 2
-        m = 2 + next(stream) % 5
-        q = 2 + next(stream) % 6
-        p = next(stream) % q
-        inst = random_instance(n, m, p, q, Fraction(1, 2), next(stream))
-        plain = exact_optimum(inst)
-        grouped = exact_optimum(inst, group_identical=True)
-        assert grouped[0].product == plain[0].product
-        assert grouped[1].bundles == plain[1].bundles
 
 
 # --------------------------------------------------------------- closest optimum

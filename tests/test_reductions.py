@@ -85,14 +85,14 @@ def test_matching_allocation_attains_value_pq_everywhere():
 def test_matching_allocation_is_oracle_optimal():
     g = tripartite()
     inst = reduce_pdm(g, 5)
-    best, _ = exact_optimum(inst, group_identical=True)
+    best, _ = exact_optimum(inst)
     assert best.product == 15 ** 3
 
 
 def test_no_matching_forces_a_strictly_lower_product():
     g = unmatched_pair()
     inst = reduce_pdm(g, 5)
-    best, _ = exact_optimum(inst, group_identical=True)
+    best, _ = exact_optimum(inst)
     assert best.product < 15 ** 2
 
 
