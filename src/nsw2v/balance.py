@@ -112,15 +112,20 @@ def phase3_local_search(
     return Allocation(bundles)
 
 
+def _check_solvable(inst: Instance) -> None:
+    """The full solver's preconditions, p >= 1 and then m >= n, as the errors it raises."""
+    if inst.p == 0:
+        raise ZeroSmallValueError("p = 0 instances are dichotomous; use solve_dichotomous")
+    if inst.m < inst.n:
+        raise GoodsFewerThanAgentsError(f"need m >= n, got m={inst.m}, n={inst.n}")
+
+
 def two_value_approx(inst: Instance) -> Allocation:
     """Full solver: balance the big goods, greedily complete, then locally improve.
 
     Requires m >= n and p >= 1; every agent ends with positive value.
     """
-    if inst.p == 0:
-        raise ZeroSmallValueError("p = 0 instances are dichotomous; use solve_dichotomous")
-    if inst.m < inst.n:
-        raise GoodsFewerThanAgentsError(f"need m >= n, got m={inst.m}, n={inst.n}")
+    _check_solvable(inst)
     big = solve_dichotomous(inst)
     full = phase2_assign_small(inst, big)
     return phase3_local_search(inst, full, strict_properties=True)

@@ -95,7 +95,7 @@ def _cmd_ratio(args: argparse.Namespace) -> None:
         report = oracle.ratio(inst, budget=args.budget)
         rows.append(
             f"{path},{inst.n},{inst.m},{inst.p},{inst.q},"
-            f"{report.alg_product},{report.opt_product},{report.ratio_float:.6f}"
+            f"{_decimal(report.alg_product)},{_decimal(report.opt_product)},{report.ratio_float:.6f}"
         )
         ratios.append(report.ratio_float)
     if args.out:

@@ -176,10 +176,14 @@ class NswValue:
 
     @property
     def float_scaled(self) -> float:
-        """Geometric mean with big goods scaled to 1.0; for display only."""
+        """Geometric mean with big goods scaled to 1.0; for display only.
+
+        q is divided out inside the exponent: the mean itself may be past the
+        float range when q is huge, but the scaled mean is at most m.
+        """
         if self.product == 0:
             return 0.0
-        return math.exp(math.log(self.product) / self.n) / self.q
+        return math.exp(math.log(self.product) / self.n - math.log(self.q))
 
     def _comparable(self, other: "NswValue") -> None:
         if self.n != other.n or self.q != other.q:

@@ -13,11 +13,11 @@ labelled by its size class for the two owners.
 from __future__ import annotations
 
 import math
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass
 from typing import Mapping
 
-from .balance import two_value_approx
+from .balance import _check_solvable, two_value_approx
 from .core import Allocation, Instance, NswValue, nsw_product, validate_allocation
 
 DEFAULT_BUDGET = 10_000_000
@@ -195,31 +195,32 @@ def classify_paths(graph: TransGraph) -> PathReport:
     by the first good's class for the start agent and the last good's class
     for the end agent; a big-to-big path whose ends are the same agent is a
     balancing cycle.
+
+    Each edge is one arc from the state (src, src_big) to (dst, dst_big).
+    Edge e chains into edge f exactly when e ends in the state where f
+    starts, so chains of edges are the nonempty walks over these at most 2n
+    states (an edge repeated back to back can be dropped without moving the
+    walk's ends). Type XY exists iff a state of class X reaches one of class
+    Y, and a balancing cycle iff some (agent, big) state reaches itself. One
+    search per state costs about n·E; pairing the edges themselves costs E².
     """
-    edges = graph.edges
-    succ: list[list[int]] = [[] for _ in edges]
-    for x, e in enumerate(edges):
-        for y, f in enumerate(edges):
-            if x != y and e.dst == f.src and e.dst_big == f.src_big:
-                succ[x].append(y)
-    found = {"SS": False, "SB": False, "BS": False, "BB": False}
+    succ: dict[tuple[int, bool], set[tuple[int, bool]]] = {}
+    for e in graph.edges:
+        succ.setdefault((e.src, e.src_big), set()).add((e.dst, e.dst_big))
+    found: set[tuple[bool, bool]] = set()
     cycles = False
-    for x, e in enumerate(edges):
-        reachable = {x}
-        queue = deque([x])
-        while queue:
-            u = queue.popleft()
-            for y in succ[u]:
-                if y not in reachable:
-                    reachable.add(y)
-                    queue.append(y)
-        for y in reachable:
-            f = edges[y]
-            kind = ("B" if e.src_big else "S") + ("B" if f.dst_big else "S")
-            found[kind] = True
-            if kind == "BB" and f.dst == e.src:
-                cycles = True
-    return PathReport(found["SS"], found["SB"], found["BS"], found["BB"], cycles)
+    for start, first in succ.items():
+        reached = set(first)
+        stack = list(first)
+        while stack:
+            for t in succ.get(stack.pop(), ()):
+                if t not in reached:
+                    reached.add(t)
+                    stack.append(t)
+        found.update((start[1], big) for _, big in reached)
+        cycles = cycles or (start[1] and start in reached)
+    # ss, sb, bs, bb in field order
+    return PathReport(*((x, y) in found for x in (False, True) for y in (False, True)), cycles)
 
 
 @dataclass(frozen=True)
@@ -232,12 +233,15 @@ class RatioReport:
 def ratio(inst: Instance, *, budget: int = DEFAULT_BUDGET) -> RatioReport:
     """Solve and enumerate the same instance; ratio_float is (opt/alg)^(1/n) >= 1.
 
-    Equal products short-circuit to exactly 1.0 so that optimal runs never
-    report a ratio above one through float rounding.
+    The solver's preconditions are checked first and the budget second, so
+    their errors come in the solver's order and an instance over the budget
+    is refused before it is solved. Equal products short-circuit to exactly
+    1.0 so that optimal runs never report a ratio above one through float
+    rounding.
     """
-    alloc = two_value_approx(inst)
-    alg = nsw_product(inst, alloc).product
+    _check_solvable(inst)
     opt, _ = exact_optimum(inst, budget=budget)
+    alg = nsw_product(inst, two_value_approx(inst)).product
     if alg == opt.product:
         value = 1.0
     else:

@@ -11,7 +11,7 @@ import itertools
 import math
 from collections import deque
 
-from nsw2v import Instance, ValidationReport
+from nsw2v import Instance, PathReport, ValidationReport
 
 
 def example1() -> Instance:
@@ -85,31 +85,57 @@ def max_matching_size(inst: Instance) -> int:
     return sum(1 for i in range(inst.n) if augment(i, set()))
 
 
-def bb_reachable_agent_pairs(graph) -> set[tuple[int, int]]:
-    """Agent pairs joined by a big-to-big balancing path, re-derived from the edge list."""
-    edges = graph.edges
+def _line_graph(edges) -> list[set[int]]:
+    """For each edge, the edges reachable from it in the edge-to-edge line graph, itself included.
+
+    Edge x is followed by edge y != x when x ends at the agent where y starts
+    and the good x delivers has the size class, for that agent, of the good y
+    takes away.
+    """
     succ: list[list[int]] = [[] for _ in edges]
     for x, e in enumerate(edges):
         for y, f in enumerate(edges):
             if x != y and e.dst == f.src and e.dst_big == f.src_big:
                 succ[x].append(y)
-    pairs: set[tuple[int, int]] = set()
-    for x, e in enumerate(edges):
-        if not e.src_big:
-            continue
+    reached_from = []
+    for x in range(len(edges)):
         reached = {x}
         stack = [x]
         while stack:
-            u = stack.pop()
-            for y in succ[u]:
+            for y in succ[stack.pop()]:
                 if y not in reached:
                     reached.add(y)
                     stack.append(y)
+        reached_from.append(reached)
+    return reached_from
+
+
+def bb_reachable_agent_pairs(graph) -> set[tuple[int, int]]:
+    """Agent pairs joined by a big-to-big balancing path, re-derived from the edge list."""
+    edges = graph.edges
+    return {
+        (e.src, edges[y].dst)
+        for e, reached in zip(edges, _line_graph(edges))
+        if e.src_big
+        for y in reached
+        if edges[y].dst_big
+    }
+
+
+def line_graph_paths(graph) -> PathReport:
+    """classify_paths by chaining edges directly: one search per edge over E² edge pairs."""
+    edges = graph.edges
+    found: set[tuple[bool, bool]] = set()
+    cycles = False
+    for e, reached in zip(edges, _line_graph(edges)):
         for y in reached:
             f = edges[y]
-            if f.dst_big:
-                pairs.add((e.src, f.dst))
-    return pairs
+            found.add((e.src_big, f.dst_big))
+            cycles = cycles or (e.src_big and f.dst_big and f.dst == e.src)
+    return PathReport(
+        (False, False) in found, (False, True) in found, (True, False) in found,
+        (True, True) in found, cycles,
+    )
 
 
 def exchange_path_exists(inst: Instance, bundles, src: int, dst: int) -> bool:

@@ -46,6 +46,28 @@ def test_solve_and_check_print_products_past_the_int_digit_limit(tmp_path, capsy
     assert cli.main(["solve", str(inst)]) == cli.EXIT_PARSE
 
 
+def test_solve_and_exact_print_the_scaled_welfare_of_a_huge_q(tmp_path, capsys):
+    # each agent gets its own big good: the product q^2 is fine, its square root past float range
+    q = 10**400
+    inst = tmp_path / "huge_q.nsw"
+    inst.write_text(f"nsw2v 1\n2 2 1 {q}\n0\n1\n", encoding="utf-8")
+    for command in ("solve", "exact"):
+        assert cli.main([command, str(inst)]) == 0
+        assert capsys.readouterr().out == f"product={q * q} nsw_scaled=1.000000\n"
+
+
+def test_ratio_prints_products_past_the_int_digit_limit(tmp_path, capsys):
+    # a 2201-digit q: both products are q^2, 4401 digits
+    q = 10**2200
+    inst = tmp_path / "wide_q.nsw"
+    inst.write_text(f"nsw2v 1\n2 2 1 {q}\n0\n1\n", encoding="utf-8")
+    product = _decimal_by_blocks(q * q)
+    assert len(product) == 4401
+    assert cli.main(["ratio", str(inst)]) == 0
+    row = capsys.readouterr().out.splitlines()[1]
+    assert row == f"{inst},2,2,1,{q},{product},{product},1.000000"
+
+
 def test_solve_writes_a_parseable_allocation(example1_file, tmp_path, capsys):
     out = tmp_path / "alloc.txt"
     assert cli.main(["solve", example1_file, "--out", str(out)]) == 0
@@ -275,6 +297,25 @@ def test_exit_code_budget_exceeded_on_a_count_past_the_int_digit_limit(tmp_path,
     for command in ("exact", "ratio"):
         assert cli.main([command, str(huge)]) == cli.EXIT_BUDGET
         assert capsys.readouterr().err == "error: 3^10000 states exceed the budget of 10000000\n"
+
+
+def test_ratio_refuses_an_instance_over_the_budget_before_solving(tmp_path, monkeypatch, capsys):
+    def never(inst):
+        raise AssertionError("the solver ran on an instance over the budget")
+
+    monkeypatch.setattr(cli.oracle, "two_value_approx", never)
+    files = {
+        # the 1 KB file declaring n=1000, m=10^6
+        "huge.nsw": ("nsw2v 1\n1000 1000000 1 2\n" + "\n" * 1000, cli.EXIT_BUDGET),
+        # over the budget too, but p = 0 and m < n are reported first, as the solver would
+        "dichotomous.nsw": ("nsw2v 1\n3 10000 0 1\n\n\n\n", cli.EXIT_ZERO_SMALL),
+        "starved.nsw": ("nsw2v 1\n20 10 1 2\n" + "\n" * 20, cli.EXIT_TOO_FEW_GOODS),
+    }
+    for name, (text, code) in files.items():
+        path = tmp_path / name
+        path.write_text(text, encoding="utf-8")
+        assert cli.main(["ratio", str(path)]) == code
+    assert "1000^1000000 states exceed" in capsys.readouterr().err
 
 
 def test_exact_budget_admits_exactly_n_to_the_m(example1_file, capsys):

@@ -137,6 +137,27 @@ def test_nsw_value_orders_like_integer_products():
     assert max(values).product == max(v.product for v in values)
 
 
+def test_scaled_welfare_of_a_huge_q_stays_in_float_range():
+    # the geometric mean q is past the float range, the scaled mean 1 is not
+    q = 10**400
+    inst = Instance(2, 2, 1, q, (frozenset({0}), frozenset({1})))
+    value = nsw_product(inst, Allocation((frozenset({0}), frozenset({1}))))
+    assert value.product == q * q
+    assert value.float_scaled == pytest.approx(1.0, rel=1e-12)
+    assert NswValue(3, q, 2 * q**3).float_scaled == pytest.approx(2 ** (1 / 3), rel=1e-12)
+
+
+def test_scaled_welfare_agrees_with_dividing_by_q_after_the_mean():
+    stream = splitmix64(0x5CA1)
+    for _ in range(2000):
+        n = 1 + next(stream) % 40
+        q = 2 + next(stream) % 50
+        product = 1 + next(stream) % (q * 60) ** n
+        value = NswValue(n, q, product)
+        plain = math.exp(math.log(product) / n) / q
+        assert value.float_scaled == pytest.approx(plain, rel=1e-12)
+
+
 def test_nsw_value_rejects_cross_shape_comparison():
     with pytest.raises(ValueError):
         NswValue(2, 3, 10) < NswValue(3, 3, 10)

@@ -1,5 +1,6 @@
 """Exhaustive-search oracle, transfer graphs, and ratio reporting."""
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -11,6 +12,7 @@ from nsw2v import (
     Instance,
     PathReport,
     TransEdge,
+    TransGraph,
     build_trans_graph,
     classify_paths,
     closest_optimum,
@@ -23,7 +25,7 @@ from nsw2v import (
 )
 from nsw2v.prng import random_instance, splitmix64
 
-from _fixtures import all_optima, brute_best, example1, overlap_with
+from _fixtures import all_optima, brute_best, example1, line_graph_paths, overlap_with
 
 
 # ------------------------------------------------------------------ exact search
@@ -225,6 +227,35 @@ def test_classify_paths_chains_through_matching_endpoints():
     report = classify_paths(TransGraph(n=3, edges=edges, src_only=(), dst_only=()))
     assert report.ss and report.sb
     assert not report.bs and not report.bb
+
+
+def test_classify_paths_matches_the_line_graph_reference_on_every_small_graph():
+    # every sequence of up to 3 edges on 3 agents, src == dst included: 47,989 graphs
+    kinds = list(itertools.product(range(3), range(3), (False, True), (False, True)))
+    count = 0
+    for size in range(4):
+        for chosen in itertools.product(kinds, repeat=size):
+            edges = tuple(TransEdge(s, d, g, sb, db) for g, (s, d, sb, db) in enumerate(chosen))
+            graph = TransGraph(n=3, edges=edges, src_only=(), dst_only=())
+            assert classify_paths(graph) == line_graph_paths(graph), edges
+            count += 1
+    assert count == 47_989
+
+
+def test_classify_paths_matches_the_line_graph_reference_on_random_graphs():
+    stream = splitmix64(0x9A7B)
+    seen = set()
+    for _ in range(2000):
+        n = 1 + next(stream) % 6
+        edges = tuple(
+            TransEdge(next(stream) % n, next(stream) % n, g, next(stream) % 2 == 1, next(stream) % 2 == 1)
+            for g in range(next(stream) % 26)
+        )
+        graph = TransGraph(n=n, edges=edges, src_only=(), dst_only=())
+        report = classify_paths(graph)
+        assert report == line_graph_paths(graph), edges
+        seen.add(report)
+    assert len(seen) > 8  # the sweep is not stuck on one answer
 
 
 # ------------------------------------------------------------------------ ratios
