@@ -10,8 +10,10 @@ from __future__ import annotations
 import itertools
 import math
 from collections import deque
+from fractions import Fraction
 
 from nsw2v import Instance, PathReport, ValidationReport
+from nsw2v.prng import splitmix64
 
 
 def example1() -> Instance:
@@ -311,3 +313,12 @@ def four_check_phase3(inst: Instance, bundles) -> tuple[frozenset[int], ...] | s
         gave_away.add(i1)
         moved.add(g)
     return tuple(frozenset(b) for b in bundles)
+
+
+def scan_big_sets(n: int, m: int, big_prob, seed: int) -> tuple[frozenset[int], ...]:
+    """random_big_sets by one splitmix64 draw per pair, row-major, no packing."""
+    big_prob = Fraction(big_prob)
+    threshold = (big_prob.numerator << 64) // big_prob.denominator
+    stream = splitmix64(seed)
+    return tuple(frozenset(g for g in range(m) if next(stream) < threshold) for _ in range(n))
+

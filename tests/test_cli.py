@@ -1,5 +1,7 @@
 """End-to-end command-line coverage driven through main(argv)."""
 
+import hashlib
+
 import pytest
 
 from nsw2v import cli, parse_allocation, parse_instance, prng, serialize_certificate
@@ -150,6 +152,13 @@ def test_gen_probability_extremes(capsys):
     assert all(b == frozenset({0, 1, 2}) for b in all_big.big_sets)
 
 
+def test_gen_output_is_pinned_across_blocks(capsys):
+    # 35,000 draws span nine 4096-value blocks; the hash was taken from the one-draw-per-pair generator
+    assert cli.main(["gen", "7", "5000", "3", "5", "2/7", "--seed", "99"]) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
+    assert digest == "6f04d3f7f749f6b0d1bb2f7880cbc2f1854d5afdbe600e6be4044955ccb77abf"
+
+
 def test_reduce_np_mode(tmp_path, capsys):
     pdm = tmp_path / "graph.pdm"
     pdm.write_text(PDM_TEXT, encoding="utf-8")
@@ -243,10 +252,10 @@ def test_exit_code_parse_failure_for_a_huge_good_count(example1_file, tmp_path, 
 
 def test_gen_refuses_more_pairs_than_the_limit_before_drawing(monkeypatch, capsys):
     # n = m = 10^6 passes both size checks; its 10^12 draws would run for days
-    def no_stream(seed):
+    def no_block(seed, start, count, threshold):
         raise AssertionError("gen drew from the stream")
 
-    monkeypatch.setattr(prng, "splitmix64", no_stream)
+    monkeypatch.setattr(prng, "_big_flags", no_block)
     assert cli.main(["gen", "1000000", "1000000", "1", "2", "1/2"]) == cli.EXIT_PARSE
     assert cli.main(["gen", "11", "1000000", "1", "2", "0"]) == cli.EXIT_PARSE
     captured = capsys.readouterr()

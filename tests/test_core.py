@@ -24,7 +24,7 @@ import nsw2v.prng as prng
 from nsw2v.core import MAX_GOODS, MAX_PAIRS
 from nsw2v.prng import random_big_sets, random_instance, splitmix64
 
-from _fixtures import example1, raw_values, scan_validate
+from _fixtures import example1, raw_values, scan_big_sets, scan_validate
 
 
 # ---------------------------------------------------------------- canonicalize
@@ -71,6 +71,35 @@ def test_instance_rejects_bad_shapes():
         Instance(2, 1, 1, 2, (frozenset(),))  # wrong number of big sets
     with pytest.raises(ValueError):
         Instance(1, 1, 3, 2, (frozenset(),))  # p >= q
+
+
+def test_instance_range_error_names_the_first_agent_and_one_of_its_bad_goods():
+    stream = splitmix64(0xBAD5)
+    kinds = set()
+    for _ in range(300):
+        n = 1 + next(stream) % 4
+        m = next(stream) % 12
+        kind = next(stream) % 4  # 0: in range, 1: negative, 2: at least m, 3: both
+        sets = []
+        for _ in range(n):
+            s = {g for g in range(m) if next(stream) % 2}
+            if kind & 1 and next(stream) % 2:
+                s.add(-1 - next(stream) % 20)
+            if kind & 2 and next(stream) % 2:
+                s.add(m + next(stream) % 20)
+            sets.append(frozenset(s))
+        bad = [i for i, s in enumerate(sets) if any(not 0 <= g < m for g in s)]
+        kinds.add((kind, not bad))
+        if not bad:
+            assert Instance(n, m, 1, 2, tuple(sets)).big_sets == tuple(sets)
+            continue
+        with pytest.raises(ValueError) as raised:
+            Instance(n, m, 1, 2, tuple(sets))
+        i = bad[0]
+        named = [f"agent {i} lists good {g} outside 0..{m - 1}" for g in sets[i] if not 0 <= g < m]
+        assert str(raised.value) in named
+    # every kind of bad good is seen raising, and every kind also passes when none was added
+    assert kinds == {(k, ok) for k in range(4) for ok in (True, False)} - {(0, False)}
 
 
 def test_instance_good_partition():
@@ -269,15 +298,34 @@ def test_splitmix64_matches_the_published_stream():
     ]
 
 
+BLOCK = prng._BLOCK  # values per packed block in random_big_sets
+
+
+def test_random_big_sets_matches_one_draw_per_pair():
+    stream = splitmix64(0x5EED)
+    probs = [Fraction(0), Fraction(1), Fraction(1, 2), Fraction(1, 25), Fraction(1, 2**64),
+             Fraction(2**64 - 1, 2**64)] + [Fraction(next(stream), 2**64) for _ in range(2)]
+    # below, at and across one block, rows that straddle a block edge, m = 0 and n = 1
+    shapes = [(1, 0), (4, 0), (1, 1), (3, 7), (1, BLOCK - 1), (1, BLOCK), (1, BLOCK + 1),
+              (2, BLOCK // 2), (3, 1365), (5, 1000), (1, 2 * BLOCK + 5), (7, 1171)]
+    shapes += [(1 + next(stream) % 6, next(stream) % 1500) for _ in range(4)]
+    # 8 probabilities per shape against a cycle of 6 seeds: each shape meets every seed
+    seeds = itertools.cycle([0, 2**64 - 1, 2**63, -1, 2**70 + 3, next(stream)])
+    for n, m in shapes:
+        for big_prob in probs:
+            seed = next(seeds)
+            assert random_big_sets(n, m, big_prob, seed) == scan_big_sets(n, m, big_prob, seed)
+
+
 class Drew(Exception):
-    """Raised by a stand-in stream, so a test sees a draw start without making it."""
+    """Raised by a stand-in block function, so a test sees a draw start without making it."""
 
 
 def test_random_big_sets_refuses_more_pairs_than_the_limit_before_any_draw(monkeypatch):
-    def no_stream(seed):
+    def no_block(seed, start, count, threshold):
         raise Drew
 
-    monkeypatch.setattr(prng, "splitmix64", no_stream)
+    monkeypatch.setattr(prng, "_big_flags", no_block)
     with pytest.raises(ValueError, match=f"pair count n\\*m = {MAX_PAIRS + 1} exceeds the limit"):
         random_big_sets(1, MAX_PAIRS + 1, Fraction(1, 2), 0)
     # the limit itself is allowed: the stream is reached
