@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import heapq
 
-from .core import Allocation, Instance, validate_allocation, valuation_profile
-from .dichotomous import solve_dichotomous
+from .core import Allocation, Instance, validate_allocation
+from .dichotomous import _solve
 
 
 class GoodsFewerThanAgentsError(ValueError):
@@ -29,13 +29,45 @@ class LocalSearchInvariantError(RuntimeError):
     """
 
 
+def _assign_small(inst: Instance, bundles: list[set[int]]) -> None:
+    """phase2_assign_small on working sets, in place; they must be disjoint and non-wasteful.
+
+    Agents with equal values form a level; the levels sit in a heap keyed by
+    value, each holding its agents in ascending index order. The lowest level
+    takes the next small goods in index order, one per agent, which is what a
+    (value, index) heap would hand them: each agent fed rises by p, above
+    every agent left at that level. The level then moves up by p, merging with
+    a level already there.
+    """
+    p = inst.p
+    small = sorted(inst.small_goods)
+    levels: dict[int, list[int]] = {}
+    for i, b in enumerate(bundles):
+        levels.setdefault(inst.q * len(b), []).append(i)
+    heap = list(levels)
+    heapq.heapify(heap)
+    fed = 0
+    while fed < len(small):
+        value = heapq.heappop(heap)
+        agents = levels.pop(value)
+        for i, g in zip(agents, small[fed:fed + len(agents)]):
+            bundles[i].add(g)
+        fed += len(agents)
+        if value + p in levels:
+            levels[value + p] = sorted(levels[value + p] + agents)
+        else:
+            levels[value + p] = agents
+            heapq.heappush(heap, value + p)
+
+
 def phase2_assign_small(inst: Instance, alloc: Allocation) -> Allocation:
     """Give each globally-small good, in index order, to a poorest agent (ties: lowest index).
 
-    The agents sit in a heap of (value, index), so each good takes the top
-    entry and replaces it with the agent's raised value. A non-wasteful input
-    holds only goods big for their holders, so each start value is q times the
-    bundle size.
+    The input is validated once and then filled by value levels: agents of
+    equal value take the next goods together, in ascending index order, and
+    move up by p as a group, merging with any group that already sits there.
+    A non-wasteful input holds only goods big for their holders, so each
+    start value is q times the bundle size.
     """
     if inst.p == 0:
         raise ZeroSmallValueError("greedy completion needs p >= 1")
@@ -43,13 +75,47 @@ def phase2_assign_small(inst: Instance, alloc: Allocation) -> Allocation:
     if not (report.disjoint and report.nonwasteful):
         raise ValueError("phase 2 expects a disjoint non-wasteful allocation")
     bundles = [set(b) for b in alloc.bundles]
-    heap = [(inst.q * len(b), i) for i, b in enumerate(bundles)]
-    heapq.heapify(heap)
-    for g in sorted(inst.small_goods):
-        value, poorest = heap[0]
-        bundles[poorest].add(g)
-        heapq.heapreplace(heap, (value + inst.p, poorest))
+    _assign_small(inst, bundles)
     return Allocation(bundles)
+
+
+def _local_search(inst: Instance, bundles: list[set[int]], strict_properties: bool) -> None:
+    """phase3_local_search on working sets, in place; they must be complete and disjoint."""
+    p, q = inst.p, inst.q
+    big_sets = inst.big_sets
+    values = []
+    for b, big in zip(bundles, big_sets):
+        held_big = len(b & big)
+        values.append(q * held_big + p * (len(b) - held_big))
+    while True:
+        # index() finds the first extreme, so ties go to the lowest index
+        i1 = values.index(max(values))
+        i2 = values.index(min(values))
+        if i1 == i2:
+            return
+        v1, v2 = values[i1], values[i2]
+        big1, big2 = big_sets[i1], big_sets[i2]
+        best: tuple[int, int, int, int] | None = None  # (gain, good, w1, w2)
+        for g in sorted(bundles[i1]):
+            w1 = q if g in big1 else p
+            w2 = q if g in big2 else p
+            gain = (v1 - w1) * (v2 + w2) - v1 * v2
+            if best is None or gain > best[0]:
+                best = (gain, g, w1, w2)
+        if best is None or best[0] <= 0:
+            return
+        gain, g, w1, w2 = best
+        if strict_properties:
+            if not bundles[i1] <= big1:
+                raise LocalSearchInvariantError(
+                    f"sender {i1} holds a good small for itself while moving good {g}"
+                )
+            if g in big2:
+                raise LocalSearchInvariantError(f"moved good {g} is big for receiver {i2}")
+        bundles[i1].remove(g)
+        bundles[i2].add(g)
+        values[i1] -= w1
+        values[i2] += w2
 
 
 def phase3_local_search(
@@ -57,11 +123,13 @@ def phase3_local_search(
 ) -> Allocation:
     """Move goods from a richest agent to a poorest one while the product strictly rises.
 
-    Each round recomputes the richest agent i1 and poorest agent i2 (ties:
-    lowest index) and scans i1's bundle for the move with the largest exact
-    gain (v1 - w1) * (v2 + w2) - v1 * v2, where w1 and w2 are the good's
-    values for sender and receiver; ties pick the lowest good index. The
-    search stops when i1 == i2 or the best gain is not positive.
+    The input is validated once; the start values are then computed in one
+    pass over the bundles and kept up to date by each move. Each round takes
+    the richest agent i1 and poorest agent i2 (ties: lowest index) and scans
+    i1's bundle for the move with the largest exact gain
+    (v1 - w1) * (v2 + w2) - v1 * v2, where w1 and w2 are the good's values for
+    sender and receiver; ties pick the lowest good index. The search stops
+    when i1 == i2 or the best gain is not positive.
 
     With strict_properties the run additionally checks the structure that a
     balanced phase-1 input guarantees: the sender holds only goods big for
@@ -81,34 +149,7 @@ def phase3_local_search(
     if not report.disjoint or not report.complete or report.out_of_range:
         raise ValueError("phase 3 expects a complete disjoint allocation")
     bundles = [set(b) for b in alloc.bundles]
-    values = list(valuation_profile(inst, alloc).values)
-    while True:
-        i1 = min(range(inst.n), key=lambda i: (-values[i], i))
-        i2 = min(range(inst.n), key=lambda i: (values[i], i))
-        if i1 == i2:
-            break
-        v1, v2 = values[i1], values[i2]
-        best: tuple[int, int, int, int] | None = None  # (gain, good, w1, w2)
-        for g in sorted(bundles[i1]):
-            w1 = inst.value(i1, g)
-            w2 = inst.value(i2, g)
-            gain = (v1 - w1) * (v2 + w2) - v1 * v2
-            if best is None or gain > best[0]:
-                best = (gain, g, w1, w2)
-        if best is None or best[0] <= 0:
-            break
-        gain, g, w1, w2 = best
-        if strict_properties:
-            if not bundles[i1] <= inst.big_sets[i1]:
-                raise LocalSearchInvariantError(
-                    f"sender {i1} holds a good small for itself while moving good {g}"
-                )
-            if g in inst.big_sets[i2]:
-                raise LocalSearchInvariantError(f"moved good {g} is big for receiver {i2}")
-        bundles[i1].remove(g)
-        bundles[i2].add(g)
-        values[i1] -= w1
-        values[i2] += w2
+    _local_search(inst, bundles, strict_properties)
     return Allocation(bundles)
 
 
@@ -123,9 +164,14 @@ def _check_solvable(inst: Instance) -> None:
 def two_value_approx(inst: Instance) -> Allocation:
     """Full solver: balance the big goods, greedily complete, then locally improve.
 
-    Requires m >= n and p >= 1; every agent ends with positive value.
+    Requires m >= n and p >= 1; every agent ends with positive value. The
+    phase bodies run in turn on one list of working sets, with no validation
+    and no Allocation between them: the phase-1 seed is non-wasteful by
+    construction, and each body keeps the invariant the next phase's guard
+    checks.
     """
     _check_solvable(inst)
-    big = solve_dichotomous(inst)
-    full = phase2_assign_small(inst, big)
-    return phase3_local_search(inst, full, strict_properties=True)
+    bundles = _solve(inst)
+    _assign_small(inst, bundles)
+    _local_search(inst, bundles, strict_properties=True)
+    return Allocation(bundles)

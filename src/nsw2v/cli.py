@@ -8,11 +8,13 @@ enumeration over budget, 5 a reduction asked for outside its parameter range.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import math
 import sys
 from fractions import Fraction
 from pathlib import Path
+from typing import Iterable
 
 from . import core, oracle, prng, reductions
 from .balance import GoodsFewerThanAgentsError, ZeroSmallValueError, two_value_approx
@@ -67,11 +69,17 @@ def _put_allocation(out: str | None, m: int, alloc: core.Allocation, value: core
     print(f"product={_decimal(value.product)} nsw_scaled={value.float_scaled:.6f}")
 
 
-def _put_instance(out: str | None, inst: core.Instance) -> None:
-    text = core.serialize_instance(inst)
-    if out:
-        _write(out, text)
-    print(text, end="")
+def _put_text(out: str | None, chunks: Iterable[str]) -> None:
+    """Print each chunk as it comes and, with --out, write it to that file too.
+
+    The file is opened first, so a path that cannot be written fails before
+    anything is printed.
+    """
+    with open(out, "w", encoding="utf-8") if out else contextlib.nullcontext() as handle:
+        for chunk in chunks:
+            if handle is not None:
+                handle.write(chunk)
+            sys.stdout.write(chunk)
 
 
 def _cmd_solve(args: argparse.Namespace) -> None:
@@ -134,8 +142,11 @@ def _cmd_gen(args: argparse.Namespace) -> None:
     # the parsers refuse a larger m, so refuse it here before the n*m draws
     core._check_good_count(args.m)
     big_prob = _rational(args.big_prob)
-    inst = prng.random_instance(args.n, args.m, args.p, args.q, big_prob, args.seed)
-    _put_instance(args.out, inst)
+    rows = prng.random_big_rows(args.n, args.m, big_prob, args.seed)
+    p, q = core._check_shape(args.n, args.m, args.p, args.q)
+    # each row is written as it is drawn, never held as a whole instance
+    header = (args.n, args.m, p, q)
+    _put_text(args.out, core._record_lines(core.INSTANCE_MAGIC, header, rows))
 
 
 def _cmd_reduce(args: argparse.Namespace) -> None:
@@ -144,7 +155,7 @@ def _cmd_reduce(args: argparse.Namespace) -> None:
         inst = reductions.reduce_pdm(graph, args.value)
     else:
         inst = reductions.reduce_gap4dm(graph, args.value)
-    _put_instance(args.out, inst)
+    _put_text(args.out, [core.serialize_instance(inst)])
 
 
 def _cmd_verify_lp(args: argparse.Namespace) -> None:

@@ -9,9 +9,10 @@ exact; floating point appears only in display helpers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, total_ordering
-from typing import Iterable, Sequence
+from itertools import chain
+from typing import Iterable, Iterator, Sequence
 
 INSTANCE_MAGIC = "nsw2v 1"
 ALLOCATION_MAGIC = "alloc 1"
@@ -39,6 +40,15 @@ def canonicalize(p: int, q: int) -> tuple[int, int]:
     return p // g, q // g
 
 
+def _check_shape(n: int, m: int, p: int, q: int) -> tuple[int, int]:
+    """An instance's size and value checks, in the order Instance makes them; returns canonical (p, q)."""
+    if n < 1:
+        raise ValueError(f"need at least one agent, got n={n}")
+    if m < 0:
+        raise ValueError(f"good count must be non-negative, got m={m}")
+    return canonicalize(p, q)
+
+
 @dataclass(frozen=True)
 class Instance:
     """A two-value instance: agent i values goods in big_sets[i] at q, the rest at p.
@@ -52,28 +62,25 @@ class Instance:
     p: int
     q: int
     big_sets: tuple[frozenset[int], ...]
+    # goods that are big for at least one agent: the union the range check takes
+    big_goods: frozenset[int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError(f"need at least one agent, got n={self.n}")
-        if self.m < 0:
-            raise ValueError(f"good count must be non-negative, got m={self.m}")
-        p, q = canonicalize(self.p, self.q)
+        p, q = _check_shape(self.n, self.m, self.p, self.q)
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "q", q)
-        sets = tuple(frozenset(s) for s in self.big_sets)
+        sets = tuple(map(frozenset, self.big_sets))
         if len(sets) != self.n:
             raise ValueError(f"expected {self.n} big sets, got {len(sets)}")
-        for i, s in enumerate(sets):
-            for g in s:
-                if not 0 <= g < self.m:
-                    raise ValueError(f"agent {i} lists good {g} outside 0..{self.m - 1}")
+        held = frozenset().union(*sets)
+        # one range check on the union; the scan only names the first offender
+        if held and (min(held) < 0 or max(held) >= self.m):
+            for i, s in enumerate(sets):
+                for g in s:
+                    if not 0 <= g < self.m:
+                        raise ValueError(f"agent {i} lists good {g} outside 0..{self.m - 1}")
         object.__setattr__(self, "big_sets", sets)
-
-    @cached_property
-    def big_goods(self) -> frozenset[int]:
-        """Goods that are big for at least one agent."""
-        return frozenset().union(*self.big_sets)
+        object.__setattr__(self, "big_goods", held)
 
     @cached_property
     def big_for(self) -> tuple[tuple[int, ...], ...]:
@@ -238,7 +245,7 @@ def validate_allocation(inst: Instance, alloc: Allocation) -> ValidationReport:
 
 def _int_fields(line: str, what: str) -> list[int]:
     try:
-        return [int(tok) for tok in line.split()]
+        return list(map(int, line.split()))
     except ValueError as exc:
         raise ParseError(f"{what}: expected integers, got {line!r}") from exc
 
@@ -277,10 +284,19 @@ def _check_good_count(m: int) -> None:
         raise ParseError(f"good count {m} exceeds the limit of {MAX_GOODS}")
 
 
+def _record_lines(magic: str, header: Iterable[object], records: Iterable[Iterable]) -> Iterator[str]:
+    """The tag line, then the header and each record as one line of space-separated fields.
+
+    Each line ends in a newline, and records are formatted only as they are
+    consumed, so a writer can stream a file one line at a time.
+    """
+    yield magic + "\n"
+    for fields in chain((header,), records):
+        yield " ".join(map(str, fields)) + "\n"
+
+
 def _write_records(magic: str, header: Iterable[object], records: Iterable[Iterable]) -> str:
-    """The tag line, then the header and each record as one line of space-separated fields."""
-    lines = [magic, *(" ".join(map(str, fields)) for fields in (header, *records))]
-    return "\n".join(lines) + "\n"
+    return "".join(_record_lines(magic, header, records))
 
 
 def parse_instance(text: str) -> Instance:

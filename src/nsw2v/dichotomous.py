@@ -14,8 +14,8 @@ from collections import deque
 from .core import Allocation, Instance, validate_allocation
 
 
-def initial_nonwasteful(inst: Instance) -> Allocation:
-    """Greedy seed: each big good, in index order, goes to a least-loaded eligible agent."""
+def _seed(inst: Instance) -> list[set[int]]:
+    """The greedy seed as working sets, non-wasteful by construction."""
     bundles: list[set[int]] = [set() for _ in range(inst.n)]
     loads = [0] * inst.n
     for g in sorted(inst.big_goods):
@@ -23,7 +23,12 @@ def initial_nonwasteful(inst: Instance) -> Allocation:
         owner = min(inst.big_for[g], key=loads.__getitem__)
         bundles[owner].add(g)
         loads[owner] += 1
-    return Allocation(bundles)
+    return bundles
+
+
+def initial_nonwasteful(inst: Instance) -> Allocation:
+    """Greedy seed: each big good, in index order, goes to a least-loaded eligible agent."""
+    return Allocation(_seed(inst))
 
 
 def _unloading_path(inst: Instance, bundles: list[set[int]]) -> list[int] | None:
@@ -73,6 +78,23 @@ def _unloading_path(inst: Instance, bundles: list[set[int]]) -> list[int] | None
     return None
 
 
+def _balance(inst: Instance, bundles: list[set[int]]) -> None:
+    """balance_loads on working sets, in place; they must be disjoint and non-wasteful.
+
+    Every trade moves a good to an agent that values it big, so the sets stay
+    disjoint and non-wasteful.
+    """
+    while True:
+        path = _unloading_path(inst, bundles)
+        if path is None:
+            return
+        # from the sink back, so each agent gives from its pre-trade bundle before it receives
+        for w, u in zip(path, path[1:]):
+            g = min(bundles[u] & inst.big_sets[w])
+            bundles[u].remove(g)
+            bundles[w].add(g)
+
+
 def balance_loads(inst: Instance, big_alloc: Allocation) -> Allocation:
     """Trade big goods along paths until no agent sits two goods above a reachable one.
 
@@ -85,18 +107,17 @@ def balance_loads(inst: Instance, big_alloc: Allocation) -> Allocation:
     if not (report.disjoint and report.nonwasteful):
         raise ValueError("balance_loads requires a disjoint non-wasteful allocation")
     bundles = [set(b) for b in big_alloc.bundles]
-    while True:
-        path = _unloading_path(inst, bundles)
-        if path is None:
-            break
-        # from the sink back, so each agent gives from its pre-trade bundle before it receives
-        for w, u in zip(path, path[1:]):
-            g = min(bundles[u] & inst.big_sets[w])
-            bundles[u].remove(g)
-            bundles[w].add(g)
+    _balance(inst, bundles)
     return Allocation(bundles)
+
+
+def _solve(inst: Instance) -> list[set[int]]:
+    """Phase 1 as working sets: the seed is non-wasteful by construction, so it needs no check."""
+    bundles = _seed(inst)
+    _balance(inst, bundles)
+    return bundles
 
 
 def solve_dichotomous(inst: Instance) -> Allocation:
     """Place all big goods so that the sorted load vector is lexicographically minimal."""
-    return balance_loads(inst, initial_nonwasteful(inst))
+    return Allocation(_solve(inst))

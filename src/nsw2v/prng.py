@@ -68,18 +68,12 @@ def _big_flags(seed: int, start: int, count: int, threshold: int) -> bytes:
     return ((_MASK + threshold) * ones - z).to_bytes(16 * count, "little")[8::16]
 
 
-def random_big_sets(
-    n: int, m: int, big_prob: Fraction, seed: int
-) -> tuple[frozenset[int], ...]:
-    """Make each (agent, good) pair big independently with probability big_prob.
+def random_big_rows(n: int, m: int, big_prob: Fraction, seed: int) -> Iterator[list[int]]:
+    """Each agent's big goods, ascending, one row at a time; see random_big_sets.
 
-    Consumes exactly one stream value per pair, agents outermost (row-major),
-    so the draw for a pair never shifts when other parameters stay fixed:
-    pair (i, g) is big when value i*m + g of splitmix64(seed) lies below
-    floor(big_prob·2^64). The values are computed _BLOCK at a time in packed
-    128-bit slots (see the module docstring) and cut into rows from one
-    stream of flag bytes, so at most one block is held beside the result.
-    More than core.MAX_PAIRS pairs are refused before any draw.
+    The arguments are checked at the call, before any draw; the rows are then
+    drawn only as they are consumed, so a caller that writes each row out
+    holds one row and one block at a time.
     """
     big_prob = Fraction(big_prob)
     if not 0 <= big_prob <= 1:
@@ -93,7 +87,23 @@ def random_big_sets(
         for start in range(0, total, _BLOCK)
     )
     goods = range(m)
-    return tuple(frozenset(compress(goods, islice(flags, len(goods)))) for _ in range(n))
+    return (list(compress(goods, islice(flags, m))) for _ in range(n))
+
+
+def random_big_sets(
+    n: int, m: int, big_prob: Fraction, seed: int
+) -> tuple[frozenset[int], ...]:
+    """Make each (agent, good) pair big independently with probability big_prob.
+
+    Consumes exactly one stream value per pair, agents outermost (row-major),
+    so the draw for a pair never shifts when other parameters stay fixed:
+    pair (i, g) is big when value i*m + g of splitmix64(seed) lies below
+    floor(big_prob·2^64). The values are computed _BLOCK at a time in packed
+    128-bit slots (see the module docstring) and cut into rows from one
+    stream of flag bytes by random_big_rows. More than core.MAX_PAIRS pairs
+    are refused before any draw.
+    """
+    return tuple(map(frozenset, random_big_rows(n, m, big_prob, seed)))
 
 
 def random_instance(

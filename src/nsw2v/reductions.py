@@ -219,7 +219,9 @@ def verify_apx_lp(cert: LpCertificate, eps: Fraction = Fraction(0)) -> LpReport:
       bounds        every x_ij >= 0 and 0 <= alpha <= 1
     The objective is sum x_ij * ln(i + 4j/5), the log of the geometric-mean
     value an allocation of these types achieves; 4 / exp(objective) is the
-    approximation factor the certificate implies.
+    approximation factor the certificate implies. The objective is a float:
+    a weight past the float range gives its term the infinity of its sign
+    times the log's, and a term with log-utility 0 adds nothing.
     """
     eps = Fraction(eps)
     total = sum(cert.x.values(), Fraction(0))
@@ -251,7 +253,14 @@ def verify_apx_lp(cert: LpCertificate, eps: Fraction = Fraction(0)) -> LpReport:
         if utility == 0:
             objective = float("-inf")
             break
-        objective += float(v) * math.log(utility)
+        log_utility = math.log(utility)
+        if not log_utility:
+            continue  # a zero term, whatever its weight
+        try:
+            weight = float(v)
+        except OverflowError:  # a weight past the float range makes its term infinite
+            weight = math.inf if v > 0 else -math.inf
+        objective += weight * log_utility
     return LpReport(feasible, slacks, tight, objective)
 
 

@@ -69,6 +69,17 @@ def test_phase2_matches_the_scan_reference():
         # probability 0 gives all-equal values, so every pick is a tie broken by index
         big_prob = Fraction(next(stream) % 4, 6)
         cases.append(random_instance(n, m, p, q, big_prob, next(stream)))
+    # many small goods per agent: each value level is fed and raised many times
+    for _ in range(40):
+        n = 1 + next(stream) % 12
+        q = 2 + next(stream) % 7
+        p = 1 + next(stream) % (q - 1)
+        big_prob = Fraction(1 + next(stream) % 3, 40)
+        cases.append(random_instance(n, 100 + next(stream) % 301, p, q, big_prob, next(stream)))
+    # starts of load 0 and 1: with (1, 3) the lower group reaches the upper one's level and
+    # the two merge; with (2, 5) and (3, 7) p does not divide q, so the groups interleave
+    for p, q in ((1, 3), (2, 5), (3, 7)):
+        cases.append(Instance(5, 60, p, q, (frozenset(), {0}, frozenset(), {1}, {2, 3})))
     for inst in cases:
         big = solve_dichotomous(inst)
         for start in (big.bundles, lopsided_start(inst)):
@@ -78,6 +89,8 @@ def test_phase2_matches_the_scan_reference():
     assert any(inst.p == inst.q - 1 for inst in cases)
     assert any(not inst.big_goods and inst.n > 1 and inst.m > inst.n for inst in cases)
     assert any(any(not b for b in inst.big_sets) and inst.big_goods for inst in cases)
+    assert any(len(inst.small_goods) >= 20 * inst.n and inst.n >= 8 for inst in cases)
+    assert any(inst.q % inst.p and len(inst.small_goods) > 3 * inst.n for inst in cases)
 
 def test_phase2_small_good_holders_stay_within_p_of_the_minimum():
     stream = splitmix64(31)
@@ -152,6 +165,21 @@ def test_solver_matches_brute_force_on_unit_p():
     best, _ = brute_best(inst)
     assert best == 16
     assert nsw_product(inst, alloc).product == best
+
+
+def test_solver_equals_its_public_phases_in_turn():
+    # two_value_approx chains the phase bodies without validating or freezing between them
+    stream = splitmix64(2718)
+    for k in range(200):
+        n = 1 if k % 20 == 0 else 1 + next(stream) % 10
+        m = n + next(stream) % 60
+        q = 2 + next(stream) % 7
+        p = q - 1 if k % 4 == 0 else 1 + next(stream) % (q - 1)
+        inst = random_instance(n, m, p, q, Fraction(next(stream) % 5, 8), next(stream))
+        phases = phase3_local_search(
+            inst, phase2_assign_small(inst, solve_dichotomous(inst)), strict_properties=True
+        )
+        assert two_value_approx(inst).bundles == phases.bundles
 
 
 def test_solver_rejections():

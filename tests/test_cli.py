@@ -1,10 +1,11 @@
 """End-to-end command-line coverage driven through main(argv)."""
 
 import hashlib
+from fractions import Fraction
 
 import pytest
 
-from nsw2v import cli, parse_allocation, parse_instance, prng, serialize_certificate
+from nsw2v import cli, parse_allocation, parse_instance, prng, serialize_certificate, serialize_instance
 from nsw2v.reductions import optimal_certificate
 
 EXAMPLE1 = "nsw2v 1\n2 5 2 3\n0 1\n0 1\n"
@@ -68,6 +69,22 @@ def test_ratio_prints_products_past_the_int_digit_limit(tmp_path, capsys):
     assert cli.main(["ratio", str(inst)]) == 0
     row = capsys.readouterr().out.splitlines()[1]
     assert row == f"{inst},2,2,1,{q},{product},{product},1.000000"
+
+
+def test_solve_allocation_files_are_pinned(tmp_path, capsys):
+    # hashes taken from the solver that validated and froze between phases
+    shapes = [
+        ((100, 400, 4, 5, Fraction(1, 25), 2024),
+         "6bbec88d9ace2730245dc9fe7404fb307bbaf361845b7526afc0f153522de399"),
+        ((600, 3000, 3, 7, Fraction(1, 150), 11),
+         "a2453f5f1f6dfe8d9e69afd9341166a35b521cff64808f18dfa739b9900f20ef"),
+    ]
+    path, out = tmp_path / "inst.nsw", tmp_path / "inst.alloc"
+    for shape, digest in shapes:
+        path.write_text(serialize_instance(prng.random_instance(*shape)), encoding="utf-8")
+        assert cli.main(["solve", str(path), "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+    capsys.readouterr()
 
 
 def test_solve_writes_a_parseable_allocation(example1_file, tmp_path, capsys):
@@ -159,6 +176,40 @@ def test_gen_output_is_pinned_across_blocks(capsys):
     assert digest == "6f04d3f7f749f6b0d1bb2f7880cbc2f1854d5afdbe600e6be4044955ccb77abf"
 
 
+def test_gen_matches_the_serialized_instance(tmp_path, capsys):
+    # rows are written as they are drawn, with the (p, q) header canonicalized
+    shapes = [("3", "6", "2", "5", "1/3", 42), ("5", "700", "4", "6", "1/2", 7),
+              ("1", "1", "1", "2", "1", 0), ("4", "9000", "3", "9", "2/3", 2**64 + 5)]
+    for n, m, p, q, prob, seed in shapes:
+        out = tmp_path / "gen.nsw"
+        argv = ["gen", n, m, p, q, prob, "--seed", str(seed), "--out", str(out)]
+        assert cli.main(argv) == 0
+        inst = prng.random_instance(int(n), int(m), int(p), int(q), Fraction(prob), seed)
+        assert capsys.readouterr().out == serialize_instance(inst)
+        assert out.read_text(encoding="utf-8") == serialize_instance(inst)
+
+
+def test_gen_reports_the_first_of_several_faults(tmp_path, capsys):
+    # order: m < n, the good limit, BIG_PROB's syntax, its range, the pair limit, n >= 1, (p, q)
+    cases = [
+        (["3", "2", "1", "2", "abc"], cli.EXIT_TOO_FEW_GOODS, "need m >= n, got m=2, n=3"),
+        (["1", "1000001", "1", "2", "abc"], cli.EXIT_PARSE, "good count 1000001 exceeds the limit of 1000000"),
+        (["11", "1000000", "1", "2", "abc"], cli.EXIT_PARSE, "Invalid literal for Fraction: 'abc'"),
+        (["11", "1000000", "1", "2", "3/2"], cli.EXIT_PARSE, "big_prob must lie in [0, 1], got 3/2"),
+        (["-5000", "-4000", "3", "2", "1/2"], cli.EXIT_PARSE,
+         "pair count n*m = 20000000 exceeds the limit of 10000000"),
+        (["0", "3", "2", "1", "1/2"], cli.EXIT_PARSE, "need at least one agent, got n=0"),
+        (["2", "3", "3", "2", "1/2"], cli.EXIT_PARSE, "values must satisfy 0 <= p < q, got p=3, q=2"),
+        (["2", "3", "1", "0", "1/2"], cli.EXIT_PARSE, "big value must be positive, got q=0"),
+    ]
+    out = tmp_path / "never.nsw"
+    for args, code, message in cases:
+        assert cli.main(["gen", *args, "--out", str(out)]) == code
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: {message}\n")
+        assert not out.exists()
+
+
 def test_reduce_np_mode(tmp_path, capsys):
     pdm = tmp_path / "graph.pdm"
     pdm.write_text(PDM_TEXT, encoding="utf-8")
@@ -204,6 +255,22 @@ def test_verify_lp_reports_an_infinite_factor_for_minus_infinite_objective(tmp_p
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "feasible tight=0 factor=inf"
     assert lines[5] == "objective=-inf"
+
+
+def test_verify_lp_reports_an_overflowing_weight_without_a_traceback(tmp_path, capsys):
+    # float(1e400) overflows; the term is infinite with the sign of weight times log-utility
+    cert = tmp_path / "huge.lp"
+    for entry, objective in (("0 1 1e400", "-inf"), ("4 0 1e400", "inf"), ("4 0 -1e400", "-inf"),
+                             ("1 0 1e400", "0.000000000000")):
+        cert.write_text(f"lpcert 1\nalpha 0\n{entry}\n", encoding="utf-8")
+        assert cli.main(["verify-lp", str(cert)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        lines = captured.out.splitlines()
+        assert lines[0] == "infeasible"
+        assert lines[1] == f"slack mass={1 - Fraction(entry.split()[2])}"
+        assert lines[5] == f"objective={objective}"
+    assert lines[4] == f"slack small_supply={Fraction(10, 3)}"
 
 
 # ------------------------------------------------------------------ exit codes
