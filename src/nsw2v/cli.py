@@ -12,7 +12,6 @@ import contextlib
 import functools
 import math
 import sys
-from fractions import Fraction
 from pathlib import Path
 from typing import Iterable
 
@@ -34,39 +33,14 @@ def _write(path: str, text: str) -> None:
     Path(path).write_text(text, encoding="utf-8")
 
 
-def _rational(text: str) -> Fraction:
-    try:
-        return Fraction(text)
-    except ValueError as exc:
-        raise core.ParseError(str(exc)) from exc
-    except ZeroDivisionError as exc:
-        raise core.ParseError(f"zero denominator in {text!r}") from exc
-
-
 def _flag(value: bool) -> str:
     return "true" if value else "false"
-
-
-def _decimal(value: int) -> str:
-    """str(value) past the interpreter's int-to-str digit limit (4300 by default).
-
-    A welfare product of a few thousand agents has more digits than that. The
-    limit stays in force for everything else, the parsers' int() included.
-    """
-    if not hasattr(sys, "set_int_max_str_digits"):  # interpreters without the limit
-        return str(value)
-    limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
-    try:
-        return str(value)
-    finally:
-        sys.set_int_max_str_digits(limit)
 
 
 def _put_allocation(out: str | None, m: int, alloc: core.Allocation, value: core.NswValue) -> None:
     if out:
         _write(out, core.serialize_allocation(alloc, m))
-    print(f"product={_decimal(value.product)} nsw_scaled={value.float_scaled:.6f}")
+    print(f"product={core.format_rational(value.product)} nsw_scaled={value.float_scaled:.6f}")
 
 
 def _put_text(out: str | None, chunks: Iterable[str]) -> None:
@@ -102,8 +76,8 @@ def _cmd_ratio(args: argparse.Namespace) -> None:
         inst = core.parse_instance(_read(path))
         report = oracle.ratio(inst, budget=args.budget)
         rows.append(
-            f"{path},{inst.n},{inst.m},{inst.p},{inst.q},"
-            f"{_decimal(report.alg_product)},{_decimal(report.opt_product)},{report.ratio_float:.6f}"
+            f"{path},{inst.n},{inst.m},{inst.p},{inst.q},{core.format_rational(report.alg_product)},"
+            f"{core.format_rational(report.opt_product)},{report.ratio_float:.6f}"
         )
         ratios.append(report.ratio_float)
     if args.out:
@@ -132,7 +106,7 @@ def _cmd_check(args: argparse.Namespace) -> None:
     value = core.nsw_product(inst, alloc)
     print(
         f"complete={_flag(report.complete)} disjoint={_flag(report.disjoint)} "
-        f"nonwasteful={_flag(report.nonwasteful)} product={_decimal(value.product)}"
+        f"nonwasteful={_flag(report.nonwasteful)} product={core.format_rational(value.product)}"
     )
 
 
@@ -141,7 +115,7 @@ def _cmd_gen(args: argparse.Namespace) -> None:
         raise GoodsFewerThanAgentsError(f"need m >= n, got m={args.m}, n={args.n}")
     # the parsers refuse a larger m, so refuse it here before the n*m draws
     core._check_good_count(args.m)
-    big_prob = _rational(args.big_prob)
+    big_prob = core.parse_rational(args.big_prob)
     rows = prng.random_big_rows(args.n, args.m, big_prob, args.seed)
     p, q = core._check_shape(args.n, args.m, args.p, args.q)
     # each row is written as it is drawn, never held as a whole instance
@@ -160,14 +134,14 @@ def _cmd_reduce(args: argparse.Namespace) -> None:
 
 def _cmd_verify_lp(args: argparse.Namespace) -> None:
     cert = reductions.parse_certificate(_read(args.certificate))
-    report = reductions.verify_apx_lp(cert, _rational(args.eps))
+    report = reductions.verify_apx_lp(cert, core.parse_rational(args.eps))
     if report.feasible:
         factor = 4.0 * math.exp(-report.objective)
         print(f"feasible tight={len(report.tight)} factor={factor:.9f}")
     else:
         print("infeasible")
     for name in ("mass", "type4", "big_supply", "small_supply"):
-        print(f"slack {name}={report.slacks[name]}")
+        print(f"slack {name}={core.format_rational(report.slacks[name])}")
     print(f"objective={report.objective:.12f}")
 
 

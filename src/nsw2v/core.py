@@ -9,7 +9,10 @@ exact; floating point appears only in display helpers.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field
+from decimal import Decimal
+from fractions import Fraction
 from functools import cached_property, total_ordering
 from itertools import chain
 from typing import Iterable, Iterator, Sequence
@@ -20,6 +23,11 @@ ALLOCATION_MAGIC = "alloc 1"
 MAX_GOODS = 10**6
 # the most (agent, good) pairs prng.random_big_sets draws, one stream value each
 MAX_PAIRS = 10**7
+# the largest decimal exponent magnitude parse_rational reads, the interpreter's default
+# int-to-str digit limit; Fraction would build 10**|e| before any caller's range check
+MAX_EXPONENT = 4300
+# the most fields of one record line formatted at once; a longer line is written in slices
+_ROW_SLICE = 4096
 
 
 class ParseError(ValueError):
@@ -243,6 +251,45 @@ def validate_allocation(inst: Instance, alloc: Allocation) -> ValidationReport:
     return ValidationReport(complete, disjoint, nonwasteful, out_of_range)
 
 
+def _long_exponent(text: str) -> bool:
+    """Whether text is a valid Fraction literal with a decimal exponent past MAX_EXPONENT."""
+    head, marker, exponent = text.replace("E", "e").rpartition("e")
+    try:
+        if not marker or abs(int(exponent)) <= MAX_EXPONENT:
+            return False
+        # zeroing the exponent's digits keeps the literal valid exactly when it was
+        Fraction(head + marker + re.sub(r"\d", "0", exponent))
+    except ValueError:
+        return False
+    return True
+
+
+def parse_rational(text: str) -> Fraction:
+    """The exact rational a text such as "1/3", "0.25" or "5e-3" names; the one text-to-Fraction path.
+
+    Malformed text, a zero denominator and a decimal exponent past MAX_EXPONENT
+    raise ParseError, the exponent before 10**|e| is built.
+    """
+    if _long_exponent(text):
+        raise ParseError(f"decimal exponent in {text!r} exceeds the limit of {MAX_EXPONENT}")
+    try:
+        return Fraction(text)
+    except ValueError as exc:
+        raise ParseError(str(exc)) from exc
+    except ZeroDivisionError as exc:
+        raise ParseError(f"zero denominator in {text!r}") from exc
+
+
+def format_rational(value: int | Fraction) -> str:
+    """str(value) of an int or a Fraction, at any length.
+
+    Decimal converts from the int's binary digits, so the interpreter's
+    int-to-str limit (4300 digits by default) stays in force for every parser.
+    """
+    text = str(Decimal(value.numerator))
+    return text if value.denominator == 1 else f"{text}/{Decimal(value.denominator)}"
+
+
 def _int_fields(line: str, what: str) -> list[int]:
     try:
         return list(map(int, line.split()))
@@ -284,18 +331,26 @@ def _check_good_count(m: int) -> None:
         raise ParseError(f"good count {m} exceeds the limit of {MAX_GOODS}")
 
 
-def _record_lines(magic: str, header: Iterable[object], records: Iterable[Iterable]) -> Iterator[str]:
+def _record_lines(magic: str, header: Sequence[object], records: Iterable[Sequence]) -> Iterator[str]:
     """The tag line, then the header and each record as one line of space-separated fields.
 
     Each line ends in a newline, and records are formatted only as they are
-    consumed, so a writer can stream a file one line at a time.
+    consumed, so a writer can stream a file one line at a time. A record of
+    more than _ROW_SLICE fields comes in slices of that many, so the text of
+    a whole long line is never held.
     """
     yield magic + "\n"
     for fields in chain((header,), records):
-        yield " ".join(map(str, fields)) + "\n"
+        if len(fields) <= _ROW_SLICE:
+            yield " ".join(map(str, fields)) + "\n"
+        else:
+            for start in range(0, len(fields), _ROW_SLICE):
+                end = start + _ROW_SLICE
+                yield " ".join(map(str, fields[start:end])) + (" " if end < len(fields) else "\n")
+        del fields  # freed before the next record is drawn, so one long record is held at a time
 
 
-def _write_records(magic: str, header: Iterable[object], records: Iterable[Iterable]) -> str:
+def _write_records(magic: str, header: Sequence[object], records: Iterable[Sequence]) -> str:
     return "".join(_record_lines(magic, header, records))
 
 

@@ -15,7 +15,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Mapping
 
-from .core import Allocation, Instance, ParseError, _read_header, _records, _write_records
+from .core import Allocation, Instance, ParseError, _read_header, _records, _write_records, parse_rational
 
 PDM_MAGIC = "pdm 1"
 CERT_MAGIC = "lpcert 1"
@@ -220,8 +220,9 @@ def verify_apx_lp(cert: LpCertificate, eps: Fraction = Fraction(0)) -> LpReport:
     The objective is sum x_ij * ln(i + 4j/5), the log of the geometric-mean
     value an allocation of these types achieves; 4 / exp(objective) is the
     approximation factor the certificate implies. The objective is a float:
-    a weight past the float range gives its term the infinity of its sign
-    times the log's, and a term with log-utility 0 adds nothing.
+    a term with log-utility 0 adds nothing, and when some terms are past the
+    float range the objective is the infinity of the sign of their exact sum
+    (taken with the float logs), or the sum of the others if that is 0.
     """
     eps = Fraction(eps)
     total = sum(cert.x.values(), Fraction(0))
@@ -246,6 +247,7 @@ def verify_apx_lp(cert: LpCertificate, eps: Fraction = Fraction(0)) -> LpReport:
         name for name in ("type4", "big_supply", "small_supply") if slacks[name] == 0
     )
     objective = 0.0
+    infinite = Fraction(0)  # the exact sum of the terms past the float range
     for (i, j), v in sorted(cert.x.items()):
         if v == 0:
             continue
@@ -257,10 +259,15 @@ def verify_apx_lp(cert: LpCertificate, eps: Fraction = Fraction(0)) -> LpReport:
         if not log_utility:
             continue  # a zero term, whatever its weight
         try:
-            weight = float(v)
-        except OverflowError:  # a weight past the float range makes its term infinite
-            weight = math.inf if v > 0 else -math.inf
-        objective += weight * log_utility
+            term = float(v) * log_utility
+        except OverflowError:  # a weight past the float range
+            term = math.inf
+        if math.isinf(term):
+            infinite += v * Fraction(log_utility)
+        else:
+            objective += term
+    if infinite:
+        objective = math.inf if infinite > 0 else -math.inf
     return LpReport(feasible, slacks, tight, objective)
 
 
@@ -307,8 +314,8 @@ def parse_certificate(text: str) -> LpCertificate:
     if not lines or not lines[0].startswith("alpha "):
         raise ParseError("missing 'alpha <value>' on the second line")
     try:
-        alpha = Fraction(lines[0].split()[1])
-    except (IndexError, ValueError, ZeroDivisionError) as exc:
+        alpha = parse_rational(lines[0].split()[1])
+    except (IndexError, ParseError) as exc:
         raise ParseError(f"bad alpha line {lines[0]!r}") from exc
     x: dict[tuple[int, int], Fraction] = {}
     for line in lines[1:]:
@@ -318,8 +325,8 @@ def parse_certificate(text: str) -> LpCertificate:
         if len(parts) != 3:
             raise ParseError(f"certificate entries need 'i j value', got {line!r}")
         try:
-            i, j, value = int(parts[0]), int(parts[1]), Fraction(parts[2])
-        except (ValueError, ZeroDivisionError) as exc:
+            i, j, value = int(parts[0]), int(parts[1]), parse_rational(parts[2])
+        except ValueError as exc:
             raise ParseError(f"bad certificate entry {line!r}") from exc
         if (i, j) in x:
             raise ParseError(f"duplicate certificate entry for type ({i}, {j})")

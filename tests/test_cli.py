@@ -1,6 +1,7 @@
 """End-to-end command-line coverage driven through main(argv)."""
 
 import hashlib
+import math
 from fractions import Fraction
 
 import pytest
@@ -271,6 +272,53 @@ def test_verify_lp_reports_an_overflowing_weight_without_a_traceback(tmp_path, c
         assert lines[1] == f"slack mass={1 - Fraction(entry.split()[2])}"
         assert lines[5] == f"objective={objective}"
     assert lines[4] == f"slack small_supply={Fraction(10, 3)}"
+
+
+def test_verify_lp_signs_overflowing_terms_by_their_exact_sum(tmp_path, capsys):
+    # 1e400*ln(0.8) + 1e400*ln(4) > 0; the float sum of the two infinite terms is nan
+    cert = tmp_path / "both.lp"
+    ln16, ln08 = Fraction(math.log(1.6)), Fraction(math.log(0.8))
+    cases = (
+        (["0 1 1e400", "4 0 1e400"], "inf"),
+        (["0 1 1e400", "4 0 -1e400"], "-inf"),
+        # weights in float range whose terms overflow: 1.7e308*ln(4.8) - 1.7e308*ln(4) > 0
+        (["0 6 1.7e308", "4 0 -1.7e308"], "inf"),
+        # infinite terms whose exact sum is 0 leave the finite rest, here ln 4
+        ([f"0 1 {10**400 * ln16}", f"0 2 {-10**400 * ln08}", "4 0 1"], "1.386294361120"),
+    )
+    for entries, objective in cases:
+        cert.write_text("lpcert 1\nalpha 0\n" + "".join(f"{e}\n" for e in entries), encoding="utf-8")
+        assert cli.main(["verify-lp", str(cert)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert captured.out.splitlines()[5] == f"objective={objective}"
+
+
+def test_verify_lp_prints_slacks_past_the_int_digit_limit(tmp_path, capsys):
+    cert = tmp_path / "wide.lp"
+    cert.write_text("lpcert 1\nalpha 0\n0 1 1e4300\n", encoding="utf-8")
+    assert cli.main(["verify-lp", str(cert)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1] == f"slack mass=-{_decimal_by_blocks(10**4300 - 1)}"
+    assert lines[4] == f"slack small_supply=-{_decimal_by_blocks(3 * 10**4300 - 10)}/3"
+
+
+def test_decimal_exponents_past_the_limit_are_refused(tmp_path, capsys):
+    # Fraction would build 10^5000 first; 1e-10000000 took seconds and then wrote an instance
+    assert cli.main(["gen", "2", "3", "1", "2", "1e-5000"]) == cli.EXIT_PARSE
+    cert = tmp_path / "opt.lp"
+    cert.write_text(serialize_certificate(optimal_certificate()), encoding="utf-8")
+    assert cli.main(["verify-lp", str(cert), "--eps", "1E+4301"]) == cli.EXIT_PARSE
+    assert capsys.readouterr().err.splitlines() == [
+        "error: decimal exponent in '1e-5000' exceeds the limit of 4300",
+        "error: decimal exponent in '1E+4301' exceeds the limit of 4300",
+    ]
+    cert.write_text("lpcert 1\nalpha 0\n0 1 1e-3000000\n", encoding="utf-8")
+    assert cli.main(["verify-lp", str(cert)]) == cli.EXIT_PARSE
+    assert capsys.readouterr().err == "error: bad certificate entry '0 1 1e-3000000'\n"
+    # an exponent at the limit is read
+    assert cli.main(["gen", "2", "3", "1", "2", "1e-4300"]) == 0
+    assert capsys.readouterr().out == "nsw2v 1\n2 3 1 2\n\n\n"
 
 
 # ------------------------------------------------------------------ exit codes

@@ -21,7 +21,9 @@ from nsw2v import (
     valuation_profile,
 )
 import nsw2v.prng as prng
-from nsw2v.core import MAX_GOODS, MAX_PAIRS
+from nsw2v.core import (
+    ALLOCATION_MAGIC, MAX_GOODS, MAX_PAIRS, _record_lines, format_rational, parse_rational,
+)
 from nsw2v.prng import random_big_sets, random_instance, splitmix64
 
 from _fixtures import example1, raw_values, scan_big_sets, scan_validate
@@ -137,6 +139,8 @@ def test_profile_and_product_on_example1_solver_output():
     value = nsw_product(inst, alloc)
     assert value.product == 35
     assert value.float_scaled == pytest.approx(math.sqrt(35) / 3, abs=1e-12)
+    with pytest.raises(ValueError, match="^allocation has 1 bundles for 2 agents$"):
+        valuation_profile(inst, Allocation((frozenset(range(5)),)))
 
 
 def test_single_agent_product_is_its_value():
@@ -192,6 +196,10 @@ def test_nsw_value_rejects_cross_shape_comparison():
         NswValue(2, 3, 10) < NswValue(3, 3, 10)
     with pytest.raises(ValueError):
         NswValue(2, 3, 10) == NswValue(2, 5, 10)
+    # another type is not a welfare value: unequal, and unordered
+    assert NswValue(2, 3, 10) != 10
+    with pytest.raises(TypeError):
+        NswValue(2, 3, 10) < 10
 
 
 def test_product_order_is_invariant_under_value_scaling():
@@ -415,11 +423,48 @@ def test_allocation_round_trip():
             assert parse_allocation(text[:-1]) == (alloc, m)
 
 
+def test_long_records_are_written_in_slices_with_the_same_bytes():
+    # rows around the slice length, written with one join each by the reference
+    for m in (0, 1, 4095, 4096, 4097, 8192, 8193, 20000):
+        alloc = Allocation((frozenset(range(m)), frozenset()))
+        reference = f"alloc 1\n2 {m}\n" + " ".join(map(str, range(m))) + "\n\n"
+        assert serialize_allocation(alloc, m) == reference
+        # no chunk holds more than one 4096-field slice of at most five digits and a space each
+        chunks = list(_record_lines(ALLOCATION_MAGIC, (2, m), map(sorted, alloc.bundles)))
+        assert max(map(len, chunks)) <= 6 * 4096
+
+
+def test_parse_rational_reads_what_fraction_reads():
+    for text in ("1/3", " -0.25 ", "5e-3", "1E+2", "7", "1e-4300", "2.5e4300", "+.5"):
+        assert parse_rational(text) == Fraction(text)
+    faults = {
+        "abc": "Invalid literal for Fraction: 'abc'",
+        "1/0": "zero denominator in '1/0'",
+        # past the exponent limit: refused only if the rest is a valid literal
+        "1e-4301": "decimal exponent in '1e-4301' exceeds the limit of 4300",
+        " 2.5E+9999999 ": "decimal exponent in ' 2.5E+9999999 ' exceeds the limit of 4300",
+        "1/2e9999": "Invalid literal for Fraction: '1/2e9999'",
+        "1e 9999": "Invalid literal for Fraction: '1e 9999'",
+    }
+    for text, message in faults.items():
+        with pytest.raises(ParseError) as raised:
+            parse_rational(text)
+        assert str(raised.value) == message
+
+
+def test_format_rational_prints_str_at_any_length():
+    for value in (0, -7, 10**4299, Fraction(-109, 162), Fraction(6, 3)):
+        assert format_rational(value) == str(value)
+    wide = format_rational(Fraction(-(10**5000) - 1, 3))
+    assert wide == "-1" + "0" * 4999 + "1/3"
+
+
 @pytest.mark.parametrize(
     "text",
     [
         "alloc 1\n2 5\n0 2 9\n1 3\n",  # good outside declared range
         "alloc 1\n2\n0\n1\n",
+        "alloc 1\n0 5\n",  # no bundles
         "alloc 2\n2 5\n0\n1\n",
         "",
         "alloc 1\n1000000000 5\n",  # huge n must fail before any allocation

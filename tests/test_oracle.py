@@ -166,6 +166,8 @@ def test_trans_graph_on_example1():
     # the small goods exist only on the optimum side, all held by agent 1 there
     assert graph.src_only == ((1, 2), (1, 3), (1, 4))
     assert graph.dst_only == ()
+    reverse = build_trans_graph(inst, phase1, optimum)
+    assert (reverse.src_only, reverse.dst_only) == ((), graph.src_only)
 
 
 def test_trans_graph_reverses_cleanly():

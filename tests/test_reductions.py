@@ -103,6 +103,8 @@ def test_matching_allocation_rejects_bad_matchings():
         matching_to_allocation(g, [0], inst)  # not perfect
     with pytest.raises(ValueError):
         matching_to_allocation(g, [0, 2], inst)  # edges share vertices
+    with pytest.raises(ValueError, match=r"^edge index 9 outside 0\.\.2$"):
+        matching_to_allocation(g, [0, 9], inst)
     with pytest.raises(ValueError):
         matching_to_allocation(g, [0, 1], reduce_pdm(unmatched_pair(), 5))
 
@@ -113,6 +115,9 @@ def test_reduce_gap4dm_shapes_and_target():
     assert (inst.n, inst.m, inst.p, inst.q) == (3, 14, 4, 5)
     alloc = matching_to_allocation(g, [0], inst)
     assert valuation_profile(inst, alloc).values == (20, 20, 20)
+    # k = 0 adds dummies for all three agents, one more set than the two unmatched ones need
+    with pytest.raises(ValueError, match="^instance dummy goods do not fit the unmatched agents$"):
+        matching_to_allocation(g, [0], reduce_gap4dm(g, 0))
 
 
 def test_reduce_gap4dm_preconditions():
