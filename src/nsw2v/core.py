@@ -341,12 +341,9 @@ def _record_lines(magic: str, header: Sequence[object], records: Iterable[Sequen
     """
     yield magic + "\n"
     for fields in chain((header,), records):
-        if len(fields) <= _ROW_SLICE:
-            yield " ".join(map(str, fields)) + "\n"
-        else:
-            for start in range(0, len(fields), _ROW_SLICE):
-                end = start + _ROW_SLICE
-                yield " ".join(map(str, fields[start:end])) + (" " if end < len(fields) else "\n")
+        for start in range(0, len(fields) or 1, _ROW_SLICE):
+            end = start + _ROW_SLICE
+            yield " ".join(map(str, fields[start:end])) + (" " if end < len(fields) else "\n")
         del fields  # freed before the next record is drawn, so one long record is held at a time
 
 

@@ -220,9 +220,10 @@ def verify_apx_lp(cert: LpCertificate, eps: Fraction = Fraction(0)) -> LpReport:
     The objective is sum x_ij * ln(i + 4j/5), the log of the geometric-mean
     value an allocation of these types achieves; 4 / exp(objective) is the
     approximation factor the certificate implies. The objective is a float:
-    a term with log-utility 0 adds nothing, and when some terms are past the
-    float range the objective is the infinity of the sign of their exact sum
-    (taken with the float logs), or the sum of the others if that is 0.
+    a term with log-utility 0 adds nothing, and a term past the float range
+    makes it the infinity of its sign. When such terms have both signs their
+    exact sum (taken with the float logs) is added to the other terms as a
+    float, or gives the infinity of its sign if it is past the float range.
     """
     eps = Fraction(eps)
     total = sum(cert.x.values(), Fraction(0))
@@ -247,7 +248,7 @@ def verify_apx_lp(cert: LpCertificate, eps: Fraction = Fraction(0)) -> LpReport:
         name for name in ("type4", "big_supply", "small_supply") if slacks[name] == 0
     )
     objective = 0.0
-    infinite = Fraction(0)  # the exact sum of the terms past the float range
+    infinite = []  # the terms past the float range, exact but for the float logs
     for (i, j), v in sorted(cert.x.items()):
         if v == 0:
             continue
@@ -263,11 +264,18 @@ def verify_apx_lp(cert: LpCertificate, eps: Fraction = Fraction(0)) -> LpReport:
         except OverflowError:  # a weight past the float range
             term = math.inf
         if math.isinf(term):
-            infinite += v * Fraction(log_utility)
+            infinite.append(v * Fraction(log_utility))
         else:
             objective += term
     if infinite:
-        objective = math.inf if infinite > 0 else -math.inf
+        total = sum(infinite, Fraction(0))
+        signed = math.inf if total > 0 else -math.inf
+        if min(infinite) < 0 < max(infinite):  # of both signs, they may sum to a float
+            try:
+                signed = objective + float(total)
+            except OverflowError:
+                pass
+        objective = signed
     return LpReport(feasible, slacks, tight, objective)
 
 

@@ -278,11 +278,12 @@ def test_verify_lp_signs_overflowing_terms_by_their_exact_sum(tmp_path, capsys):
     # 1e400*ln(0.8) + 1e400*ln(4) > 0; the float sum of the two infinite terms is nan
     cert = tmp_path / "both.lp"
     ln16, ln08 = Fraction(math.log(1.6)), Fraction(math.log(0.8))
+    ln48, ln4 = Fraction(math.log(4.8)), Fraction(math.log(4))
     cases = (
         (["0 1 1e400", "4 0 1e400"], "inf"),
         (["0 1 1e400", "4 0 -1e400"], "-inf"),
-        # weights in float range whose terms overflow: 1.7e308*ln(4.8) - 1.7e308*ln(4) > 0
-        (["0 6 1.7e308", "4 0 -1.7e308"], "inf"),
+        # weights in float range whose terms overflow but sum to a float, about 3.1e307
+        (["0 6 1.7e308", "4 0 -1.7e308"], f"{float(Fraction('1.7e308') * (ln48 - ln4)):.12f}"),
         # infinite terms whose exact sum is 0 leave the finite rest, here ln 4
         ([f"0 1 {10**400 * ln16}", f"0 2 {-10**400 * ln08}", "4 0 1"], "1.386294361120"),
     )
