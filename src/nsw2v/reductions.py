@@ -15,7 +15,9 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Mapping
 
-from .core import Allocation, Instance, ParseError, _read_header, _records, _write_records, parse_rational
+from .core import (
+    MAX_GOODS, Allocation, Instance, ParseError, _read_header, _records, _write_records, parse_rational,
+)
 
 PDM_MAGIC = "pdm 1"
 CERT_MAGIC = "lpcert 1"
@@ -64,9 +66,15 @@ def _vertex_goods(g: PdmInstance, edge: tuple[int, ...]) -> frozenset[int]:
 
 
 def _edge_agents(g: PdmInstance, p: int, q: int, dummies: int) -> Instance:
-    """One agent per edge, big on exactly its vertex goods; dummy goods come after those."""
+    """One agent per edge, big on exactly its vertex goods; dummy goods come after those.
+
+    The good count is refused past core.MAX_GOODS, which no instance file may exceed.
+    """
+    m = g.dim * g.n + dummies
+    if m > MAX_GOODS:
+        raise ReductionError(f"good count {m} exceeds the limit of {MAX_GOODS}")
     big_sets = tuple(_vertex_goods(g, e) for e in g.edges)
-    return Instance(n=g.m, m=g.dim * g.n + dummies, p=p, q=q, big_sets=big_sets)
+    return Instance(n=g.m, m=m, p=p, q=q, big_sets=big_sets)
 
 
 def _clash(g: PdmInstance, chosen: Iterable[int]) -> str | None:
@@ -219,11 +227,10 @@ def verify_apx_lp(cert: LpCertificate, eps: Fraction = Fraction(0)) -> LpReport:
       bounds        every x_ij >= 0 and 0 <= alpha <= 1
     The objective is sum x_ij * ln(i + 4j/5), the log of the geometric-mean
     value an allocation of these types achieves; 4 / exp(objective) is the
-    approximation factor the certificate implies. The objective is a float:
-    a term with log-utility 0 adds nothing, and a term past the float range
-    makes it the infinity of its sign. When such terms have both signs their
-    exact sum (taken with the float logs) is added to the other terms as a
-    float, or gives the infinity of its sign if it is past the float range.
+    approximation factor the certificate implies. It is a float: terms that
+    fit a float are summed in floats, and terms past the float range are
+    summed exactly (each weight times the float log) and added as one float,
+    or give the infinity of their sign if that sum is past the float range.
     """
     eps = Fraction(eps)
     total = sum(cert.x.values(), Fraction(0))
@@ -236,46 +243,35 @@ def verify_apx_lp(cert: LpCertificate, eps: Fraction = Fraction(0)) -> LpReport:
         "big_supply": Fraction(4, 3) * (1 - cert.alpha) - big_used,
         "small_supply": Fraction(1, 3) * (10 + 5 * eps) + Fraction(4, 3) * cert.alpha - small_used,
     }
-    bounds_ok = all(v >= 0 for v in cert.x.values()) and 0 <= cert.alpha <= 1
     feasible = (
         slacks["mass"] == 0
-        and slacks["type4"] >= 0
-        and slacks["big_supply"] >= 0
-        and slacks["small_supply"] >= 0
-        and bounds_ok
+        and min(slacks.values()) >= 0
+        and all(v >= 0 for v in cert.x.values())
+        and 0 <= cert.alpha <= 1
     )
-    tight = tuple(
-        name for name in ("type4", "big_supply", "small_supply") if slacks[name] == 0
-    )
+    tight = tuple(name for name, slack in slacks.items() if name != "mass" and slack == 0)
     objective = 0.0
-    infinite = []  # the terms past the float range, exact but for the float logs
+    overflow = Fraction(0)  # the terms past the float range, exact but for the float logs
     for (i, j), v in sorted(cert.x.items()):
         if v == 0:
             continue
         utility = Fraction(5 * i + 4 * j, 5)
         if utility == 0:
-            objective = float("-inf")
+            objective = -math.inf
             break
         log_utility = math.log(utility)
-        if not log_utility:
-            continue  # a zero term, whatever its weight
         try:
             term = float(v) * log_utility
         except OverflowError:  # a weight past the float range
             term = math.inf
         if math.isinf(term):
-            infinite.append(v * Fraction(log_utility))
+            overflow += v * Fraction(log_utility)
         else:
             objective += term
-    if infinite:
-        total = sum(infinite, Fraction(0))
-        signed = math.inf if total > 0 else -math.inf
-        if min(infinite) < 0 < max(infinite):  # of both signs, they may sum to a float
-            try:
-                signed = objective + float(total)
-            except OverflowError:
-                pass
-        objective = signed
+    try:
+        objective += float(overflow)
+    except OverflowError:
+        objective = math.inf if overflow > 0 else -math.inf
     return LpReport(feasible, slacks, tight, objective)
 
 
@@ -322,8 +318,9 @@ def parse_certificate(text: str) -> LpCertificate:
     if not lines or not lines[0].startswith("alpha "):
         raise ParseError("missing 'alpha <value>' on the second line")
     try:
-        alpha = parse_rational(lines[0].split()[1])
-    except (IndexError, ParseError) as exc:
+        _, alpha_text = lines[0].split()
+        alpha = parse_rational(alpha_text)
+    except ValueError as exc:
         raise ParseError(f"bad alpha line {lines[0]!r}") from exc
     x: dict[tuple[int, int], Fraction] = {}
     for line in lines[1:]:

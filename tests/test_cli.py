@@ -259,7 +259,7 @@ def test_verify_lp_reports_an_infinite_factor_for_minus_infinite_objective(tmp_p
 
 
 def test_verify_lp_reports_an_overflowing_weight_without_a_traceback(tmp_path, capsys):
-    # float(1e400) overflows; the term is infinite with the sign of weight times log-utility
+    # float(1e400) overflows, and so does the exact term: the infinity of its sign, or 0 at log-utility 0
     cert = tmp_path / "huge.lp"
     for entry, objective in (("0 1 1e400", "-inf"), ("4 0 1e400", "inf"), ("4 0 -1e400", "-inf"),
                              ("1 0 1e400", "0.000000000000")):
@@ -284,6 +284,8 @@ def test_verify_lp_signs_overflowing_terms_by_their_exact_sum(tmp_path, capsys):
         (["0 1 1e400", "4 0 -1e400"], "-inf"),
         # weights in float range whose terms overflow but sum to a float, about 3.1e307
         (["0 6 1.7e308", "4 0 -1.7e308"], f"{float(Fraction('1.7e308') * (ln48 - ln4)):.12f}"),
+        # a weight past the float range whose term is a float, about -4.46e307
+        (["0 1 2e308"], f"{float(Fraction('2e308') * ln08):.12f}"),
         # infinite terms whose exact sum is 0 leave the finite rest, here ln 4
         ([f"0 1 {10**400 * ln16}", f"0 2 {-10**400 * ln08}", "4 0 1"], "1.386294361120"),
     )
@@ -332,6 +334,10 @@ def test_exit_code_parse_failure(tmp_path, capsys):
     huge = tmp_path / "huge.nsw"
     huge.write_text("nsw2v 1\n1000000000 5 2 3\n", encoding="utf-8")
     assert cli.main(["solve", str(huge)]) == cli.EXIT_PARSE
+    negative = tmp_path / "negative.nsw"
+    negative.write_text("nsw2v 1\n1 -1 1 2\n\n", encoding="utf-8")
+    assert cli.main(["solve", str(negative)]) == cli.EXIT_PARSE
+    assert capsys.readouterr().err.splitlines()[-1] == "error: good count must be non-negative, got m=-1"
     assert cli.main(["gen", "2", "3", "1", "2", "1/0"]) == cli.EXIT_PARSE
     cert = tmp_path / "opt.lp"
     cert.write_text(serialize_certificate(optimal_certificate()), encoding="utf-8")
@@ -454,3 +460,11 @@ def test_exit_code_reduction_out_of_range(tmp_path, capsys):
     pdm = tmp_path / "graph.pdm"
     pdm.write_text(PDM_TEXT, encoding="utf-8")
     assert cli.main(["reduce", str(pdm), "np", "3"]) == cli.EXIT_REDUCTION
+    # one unmatched edge takes q dummies: m = 3 + q = 10^18 + 6, past core.MAX_GOODS
+    pdm.write_text("pdm 1\n3 1 2\n0 0 0\n0 0 0\n", encoding="utf-8")
+    out = tmp_path / "huge.nsw"
+    q = str(10**18 + 3)
+    assert cli.main(["reduce", str(pdm), "np", q, "--out", str(out)]) == cli.EXIT_REDUCTION
+    error = capsys.readouterr().err.splitlines()[-1]
+    assert error == f"error: good count {10**18 + 6} exceeds the limit of 1000000"
+    assert not out.exists()

@@ -168,6 +168,8 @@ def test_nsw_value_orders_like_integer_products():
         assert a.product <= b.product
         assert a.float_scaled <= b.float_scaled + 1e-12
     assert max(values).product == max(v.product for v in values)
+    # equal values hash equal, so a set keeps one per product
+    assert len(set(values)) == len({v.product for v in values})
 
 
 def test_scaled_welfare_of_a_huge_q_stays_in_float_range():

@@ -27,6 +27,7 @@ from nsw2v import (
     valuation_profile,
     verify_apx_lp,
 )
+from nsw2v.core import MAX_GOODS
 from nsw2v.prng import splitmix64
 
 
@@ -63,6 +64,14 @@ def test_reduce_pdm_preconditions():
         reduce_pdm(tripartite(), 6)  # q must be coprime with p
     with pytest.raises(ReductionError):
         reduce_pdm(PdmInstance(3, 2, ((0, 0, 0),)), 5)  # fewer edges than n
+
+
+def test_reductions_refuse_more_goods_than_an_instance_file_may_declare():
+    # two edges on n = 1 leave one unmatched agent, so m = 3 + q
+    g = PdmInstance(3, 1, ((0, 0, 0), (0, 0, 0)))
+    assert reduce_pdm(g, MAX_GOODS - 3).m == MAX_GOODS
+    with pytest.raises(ReductionError, match=f"good count {MAX_GOODS + 1} exceeds the limit of {MAX_GOODS}"):
+        reduce_pdm(g, MAX_GOODS - 2)
 
 
 def test_perfect_matching_search():
@@ -132,6 +141,8 @@ def test_reduce_gap4dm_preconditions():
 
 def test_pdm_instance_validation():
     with pytest.raises(ValueError):
+        PdmInstance(0, 2, ((),))
+    with pytest.raises(ValueError):
         PdmInstance(3, 0, ((0, 0, 0),))
     with pytest.raises(ValueError):
         PdmInstance(3, 2, ())
@@ -185,6 +196,9 @@ def test_zero_utility_type_sends_the_objective_to_minus_infinity():
     cert = LpCertificate(Fraction(0), {(0, 0): Fraction(1)})
     report = verify_apx_lp(cert)
     assert report.objective == float("-inf")
+    # a zero weight on the zero-utility type is no term at all
+    cert = LpCertificate(Fraction(0), {(0, 0): Fraction(0), (4, 0): Fraction(1)})
+    assert verify_apx_lp(cert).objective == math.log(4)
 
 
 def test_certificate_grid_bounds():
@@ -256,6 +270,8 @@ def test_certificate_round_trip():
     again = parse_certificate(text)
     assert again.alpha == cert.alpha
     assert again.x == cert.x
+    # blank lines may stand between entries
+    assert parse_certificate(text.replace("\n1 4", "\n\n1 4")) == cert
     stream = splitmix64(13)
 
     def rational() -> Fraction:
@@ -277,6 +293,7 @@ def test_certificate_round_trip():
         "",
         "lpcert 1\n",
         "lpcert 1\nalpha x\n",
+        "lpcert 1\nalpha 0 1\n",
         "lpcert 1\nalpha 0\n4 0\n",
         "lpcert 1\nalpha 0\n4 0 1/2\n4 0 1/2\n",
         "lpcert 1\nalpha 0\n9 0 1\n",
