@@ -9,6 +9,7 @@ on integer products, never on floats.
 from __future__ import annotations
 
 import heapq
+from typing import Iterable, Iterator
 
 from .core import Allocation, Instance, validate_allocation
 from .dichotomous import _solve
@@ -29,35 +30,49 @@ class LocalSearchInvariantError(RuntimeError):
     """
 
 
-def _assign_small(inst: Instance, bundles: list[set[int]]) -> None:
-    """phase2_assign_small on working sets, in place; they must be disjoint and non-wasteful.
+def _fill_levels(loads: Iterable[int], q: int, p: int) -> Iterator[list[int]]:
+    """Phase 2's value levels: yield, round after round, the agents the next handouts go to.
 
-    Agents with equal values form a level; the levels sit in a heap keyed by
-    value, each holding its agents in ascending index order. The lowest level
-    takes the next small goods in index order, one per agent, which is what a
-    (value, index) heap would hand them: each agent fed rises by p, above
-    every agent left at that level. The level then moves up by p, merging with
-    a level already there.
+    Agent i starts at value q * loads[i]; the loads are read when the first
+    round is asked for. Agents with equal values form a level; the levels sit
+    in a heap keyed by value, each holding its agents in ascending index
+    order. Each round yields the lowest level: the caller hands one good of
+    value p to each of its agents in that order, or to a prefix of them when
+    the goods run out. This is what a (value, index) heap would do one good
+    at a time, since each agent fed rises by p, above every agent left at
+    that level. The level then moves up by p, merging with a level already
+    there. The rounds never end, so the caller stops when its goods do.
     """
-    p = inst.p
-    small = sorted(inst.small_goods)
     levels: dict[int, list[int]] = {}
-    for i, b in enumerate(bundles):
-        levels.setdefault(inst.q * len(b), []).append(i)
+    for i, load in enumerate(loads):
+        levels.setdefault(q * load, []).append(i)
     heap = list(levels)
     heapq.heapify(heap)
-    fed = 0
-    while fed < len(small):
+    while True:
         value = heapq.heappop(heap)
         agents = levels.pop(value)
-        for i, g in zip(agents, small[fed:fed + len(agents)]):
-            bundles[i].add(g)
-        fed += len(agents)
+        yield agents
         if value + p in levels:
             levels[value + p] = sorted(levels[value + p] + agents)
         else:
             levels[value + p] = agents
             heapq.heappush(heap, value + p)
+
+
+def _assign_small(inst: Instance, bundles: list[set[int]]) -> None:
+    """phase2_assign_small on working sets, in place; they must be disjoint and non-wasteful.
+
+    The small goods, in index order, are zipped onto the rounds of
+    _fill_levels, started from the bundle sizes.
+    """
+    goods = iter(sorted(inst.small_goods))
+    left = len(inst.small_goods)
+    rounds = _fill_levels(map(len, bundles), inst.q, inst.p)
+    while left > 0:
+        agents = next(rounds)
+        for i, g in zip(agents, goods):  # zip stops at the last agent without taking a good
+            bundles[i].add(g)
+        left -= len(agents)
 
 
 def phase2_assign_small(inst: Instance, alloc: Allocation) -> Allocation:

@@ -4,20 +4,23 @@ exact_optimum searches every assignment of goods to agents, keeping exact
 integer products, so its answers are usable as frozen expected values in
 tests. closest_optimum breaks ties among the optima toward a reference
 big-good allocation. Both run one dynamic program over the goods that keeps,
-for each vector of agent values, only the best prefix reaching it, and first
-refuse an instance whose n^m assignments exceed the budget. Transformation
-graphs describe how two allocations differ, edge by edge, with each good
-labelled by its size class for the two owners.
+for each vector of agent values, only the best prefix reaching it.
+optimum_product, which ratio uses, needs no witness: it searches the vectors
+of big-good loads instead and fills each with the small goods as phase 2
+does. All three first refuse an instance whose n^m assignments exceed the
+budget. Transformation graphs describe how two allocations differ, edge by
+edge, with each good labelled by its size class for the two owners.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from collections import Counter
 from dataclasses import dataclass
 from typing import Mapping
 
-from .balance import _check_solvable, two_value_approx
+from .balance import _check_solvable, _fill_levels, two_value_approx
 from .core import Allocation, Instance, NswValue, nsw_product, validate_allocation
 
 DEFAULT_BUDGET = 10_000_000
@@ -40,6 +43,13 @@ def state_count(inst: Instance, group_identical: bool = False) -> int:
     return math.prod(math.comb(s + inst.n - 1, inst.n - 1) for s in Counter(inst.big_for).values())
 
 
+def _check_budget(n: int, m: int, budget: int) -> None:
+    """Raise BudgetExceededError, naming the count as n^m, when the n^m assignments exceed the budget."""
+    # n^m > budget exactly, without forming n^m: n >= 2 to the budget's bit length exceeds it
+    if n ** min(m, budget.bit_length()) > budget:
+        raise BudgetExceededError(f"{n}^{m} states exceed the budget of {budget}")
+
+
 def _search(
     inst: Instance, reference_owner: Mapping[int, int] | None, budget: int
 ) -> tuple[int, Allocation]:
@@ -56,9 +66,7 @@ def _search(
     first.
     """
     n, m = inst.n, inst.m
-    # n^m > budget exactly, without forming n^m: n >= 2 to the budget's bit length exceeds it
-    if n ** min(m, budget.bit_length()) > budget:
-        raise BudgetExceededError(f"{n}^{m} states exceed the budget of {budget}")
+    _check_budget(n, m, budget)
     if m == 0:
         return 0, Allocation.from_owners(n, [])
     w = (inst.q * m).bit_length()
@@ -109,6 +117,85 @@ def exact_optimum(inst: Instance, *, budget: int = DEFAULT_BUDGET) -> tuple[NswV
     """
     best_prod, witness = _search(inst, None, budget)
     return NswValue(inst.n, inst.q, best_prod), witness
+
+
+def optimum_product(inst: Instance, *, budget: int = DEFAULT_BUDGET) -> int:
+    """Maximum welfare product, by a forward DP over the big goods on agent-load vectors.
+
+    Why it is exact. In any allocation, call a good received big when its
+    holder values it big, and let b_i count the goods agent i receives big.
+    The other m - sum(b) goods are worth p to their holders, so agent i's
+    value is q*b_i + p*s_i with sum(s) = m - sum(b). For a fixed b, fill(b)
+    hands those m - sum(b) goods out at p each, one at a time, to a poorest
+    agent; as log is concave, that greedy maximizes the product over every
+    such s, so no allocation with big loads b beats fill(b). Conversely,
+    fill(b) is attained or beaten: give each agent its b_i big goods and the
+    pooled goods as fill says; a pooled good that its receiver values big
+    only adds value. So OPT is the maximum of fill(b) over the big-load
+    vectors b that allocations have.
+
+    Those vectors are what the DP builds. It takes the big goods in index
+    order and gives each one to an agent that values it big, or to the pool
+    when some agent values it small (a good every agent values big is
+    received big wherever it goes). A vector is packed into one int, the
+    same whole number of bytes per agent. Agents with equal big sets are
+    interchangeable, so within each such class the loads are kept
+    non-increasing in index order: a good may go to an agent only if it is
+    the first of its class or the class member just before it holds strictly
+    more. The sorted form of every vector a good can lead to is still
+    reached, since adding one to the first member of a class at some load
+    keeps the class sorted. The stored vectors number at most the product
+    over agents of (|big set| + 1). As the pool takes only goods some agent
+    values small, each stored vector is also the big-load vector of an
+    allocation of the goods seen so far, so they never outnumber the n^m
+    assignments the budget caps. fill is symmetric in the agents, so each
+    distinct sorted load multiset is filled once, through phase 2's level
+    rounds (balance._fill_levels), in exact integers. There is no float.
+
+    BudgetExceededError is raised first when n^m exceeds the budget, with
+    the message exact_optimum gives.
+    """
+    n, m, p, q = inst.n, inst.m, inst.p, inst.q
+    _check_budget(n, m, budget)
+    # whole bytes per load, so a vector unpacks in one memoryview cast; no
+    # load exceeds its agent's big set
+    most = max(map(len, inst.big_sets))
+    width = next(k for k in (1, 2, 4, 8) if most < 1 << 8 * k)
+    w = 8 * width
+    mask = (1 << w) - 1
+    last: dict[frozenset[int], int] = {}  # the last agent seen with each big set
+    prev = []  # the class member just before each agent, or -1 for the first
+    for a, big in enumerate(inst.big_sets):
+        prev.append(last.get(big, -1))
+        last[big] = a
+    layer = {0}
+    for g in sorted(inst.big_goods):
+        owners = inst.big_for[g]
+        nxt = set(layer) if len(owners) < n else set()
+        firsts = [1 << a * w for a in owners if prev[a] < 0]
+        others = [(1 << a * w, a * w, prev[a] * w) for a in owners if prev[a] >= 0]
+        for key in layer:
+            for inc in firsts:
+                nxt.add(key + inc)
+            for inc, at, before_at in others:
+                if key >> before_at & mask > key >> at & mask:
+                    nxt.add(key + inc)
+        layer = nxt
+    code = {1: "B", 2: "H", 4: "I", 8: "Q"}[width]
+    best = 0
+    for loads in {
+        tuple(sorted(memoryview(key.to_bytes(n * width, sys.byteorder)).cast(code))) for key in layer
+    }:
+        values = [q * load for load in loads]
+        left = m - sum(loads)
+        rounds = _fill_levels(loads, q, p)
+        while left > 0:
+            agents = next(rounds)
+            for i in agents[:left]:
+                values[i] += p
+            left -= len(agents)
+        best = max(best, math.prod(values))
+    return best
 
 
 def closest_optimum(
@@ -231,19 +318,21 @@ class RatioReport:
 
 
 def ratio(inst: Instance, *, budget: int = DEFAULT_BUDGET) -> RatioReport:
-    """Solve and enumerate the same instance; ratio_float is (opt/alg)^(1/n) >= 1.
+    """Solve and find the optimum of the same instance; ratio_float is (opt/alg)^(1/n) >= 1.
 
-    The solver's preconditions are checked first and the budget second, so
-    their errors come in the solver's order and an instance over the budget
-    is refused before it is solved. Equal products short-circuit to exactly
+    The optimum is optimum_product's, a search over big-good load vectors
+    rather than the value vectors exact_optimum searches. The solver's
+    preconditions are checked first and the n^m budget second, so their
+    errors come in the solver's order and an instance over the budget is
+    refused before it is solved. Equal products short-circuit to exactly
     1.0 so that optimal runs never report a ratio above one through float
     rounding.
     """
     _check_solvable(inst)
-    opt, _ = exact_optimum(inst, budget=budget)
+    opt = optimum_product(inst, budget=budget)
     alg = nsw_product(inst, two_value_approx(inst)).product
-    if alg == opt.product:
+    if alg == opt:
         value = 1.0
     else:
-        value = math.exp((math.log(opt.product) - math.log(alg)) / inst.n)
-    return RatioReport(alg, opt.product, value)
+        value = math.exp((math.log(opt) - math.log(alg)) / inst.n)
+    return RatioReport(alg, opt, value)

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,7 @@ from nsw2v import (
     BudgetExceededError,
     Instance,
     PathReport,
+    PdmInstance,
     TransEdge,
     TransGraph,
     build_trans_graph,
@@ -19,10 +21,12 @@ from nsw2v import (
     exact_optimum,
     nsw_product,
     ratio,
+    reduce_pdm,
     solve_dichotomous,
     state_count,
     two_value_approx,
 )
+from nsw2v.oracle import optimum_product
 from nsw2v.prng import random_instance, splitmix64
 
 from _fixtures import all_optima, brute_best, example1, line_graph_paths, overlap_with
@@ -83,6 +87,65 @@ def test_exact_optimum_budget_is_enforced():
     assert best.product == 36
     with pytest.raises(BudgetExceededError, match=r"^2\^5 states exceed the budget of 31$"):
         exact_optimum(inst, budget=31)
+
+
+# the most goods a brute-force comparison enumerates for each agent count, so n^m <= 2187
+_BRUTE_GOODS = {1: 8, 2: 8, 3: 7, 4: 5, 5: 4, 6: 4}
+
+
+def test_optimum_product_matches_brute_force_and_the_value_search():
+    stream = splitmix64(0x10AD)
+    hits: Counter[str] = Counter()
+    for _ in range(400):
+        n = 1 + next(stream) % 6
+        m = next(stream) % (_BRUTE_GOODS[n] + 1)
+        q = 2 + next(stream) % 8
+        p = next(stream) % q
+        sets = list(random_instance(n, m, p, q, Fraction(next(stream) % 5, 4), next(stream)).big_sets)
+        shape = next(stream) % 3
+        if shape == 1:  # pairs of agents sharing a big set
+            for a in range(1, n, 2):
+                sets[a] = sets[a - 1]
+        elif shape == 2:  # an agent valuing nothing big
+            sets[next(stream) % n] = frozenset()
+        inst = Instance(n, m, p, q, tuple(sets))
+        expect = brute_best(inst)[0]
+        assert optimum_product(inst) == expect == exact_optimum(inst)[0].product, inst
+        hits.update(name for name, hit in (
+            ("p = 0", inst.p == 0),
+            ("m = 0", m == 0),
+            ("n = 1", n == 1),
+            ("m < n", m < n),
+            ("shared big sets", len(set(sets)) < n),
+            ("empty big set", frozenset() in sets),
+            ("every good big for all", m > 0 and all(len(b) == m for b in sets)),
+        ) if hit)
+    assert len(hits) == 7, hits  # every listed shape occurred
+
+
+def test_optimum_product_refuses_over_budget_with_the_search_message():
+    inst = example1()
+    assert optimum_product(inst, budget=32) == 36
+    with pytest.raises(BudgetExceededError, match=r"^2\^5 states exceed the budget of 31$"):
+        optimum_product(inst, budget=31)
+    # refused before any search, without forming 1000^1000000
+    huge = Instance(1000, 10**6, 1, 2, (frozenset(),) * 1000)
+    with pytest.raises(BudgetExceededError, match=r"^1000\^1000000 states exceed the budget of 10000000$"):
+        optimum_product(huge)
+
+
+def test_optimum_product_of_seven_parallel_edges():
+    # seven agents share the big set {0, 1, 2}: one takes it, the others five dummies each
+    inst = reduce_pdm(PdmInstance(3, 1, ((0, 0, 0),) * 7), 5)
+    assert (inst.n, inst.m, len(set(inst.big_sets))) == (7, 33, 1)
+    assert optimum_product(inst, budget=10**30) == 15**7 == 170_859_375
+    assert ratio(inst, budget=10**30).opt_product == 15**7
+
+
+def test_optimum_product_with_one_agent_takes_every_good():
+    # every big good is big for the only agent, so none is pooled and the search keeps one vector
+    inst = Instance(1, 100_000, 1, 2, (frozenset(range(0, 100_000, 2)),))
+    assert optimum_product(inst) == 2 * 50_000 + 50_000
 
 
 def test_state_count_shrinks_under_grouping():
