@@ -7,9 +7,12 @@ big-good allocation. Both run one dynamic program over the goods that keeps,
 for each vector of agent values, only the best prefix reaching it.
 optimum_product, which ratio uses, needs no witness: it searches the vectors
 of big-good loads instead and fills each with the small goods as phase 2
-does. All three first refuse an instance whose n^m assignments exceed the
-budget. Transformation graphs describe how two allocations differ, edge by
-edge, with each good labelled by its size class for the two owners.
+does. Both searches pack a vector into one int by one lane rule, _lanes:
+whole-byte lanes sized from the largest value a lane holds, unpacked in one
+memoryview cast up to 64 bits and lane by lane past that. All three first
+refuse an instance whose n^m assignments exceed the budget. Transformation
+graphs describe how two allocations differ, edge by edge, with each good
+labelled by its size class for the two owners.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ import math
 import sys
 from collections import Counter
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Callable, Mapping, Sequence
 
 from .balance import _check_solvable, _fill_levels, two_value_approx
 from .core import Allocation, Instance, NswValue, nsw_product, validate_allocation
@@ -50,6 +53,28 @@ def _check_budget(n: int, m: int, budget: int) -> None:
         raise BudgetExceededError(f"{n}^{m} states exceed the budget of {budget}")
 
 
+def _lanes(n: int, largest: int) -> tuple[int, Callable[[int], Sequence[int]]]:
+    """Lane width in bits, and an unpacker, for vectors of n values none above largest.
+
+    A vector is one int whose lane a, from the low end, holds value a. A lane
+    is the first of 1, 2, 4 or 8 bytes that holds largest, so the unpacker
+    is one memoryview cast of the int's bytes. Past 64 bits the lane is the
+    fewest whole bytes that hold largest, read lane by lane with
+    int.from_bytes.
+    """
+    size = next((k for k in (1, 2, 4, 8) if largest < 1 << 8 * k), None)
+    if size is not None:
+        code = "BHIQ"[size.bit_length() - 1]
+        return 8 * size, lambda key: memoryview(key.to_bytes(n * size, sys.byteorder)).cast(code)
+    size = (largest.bit_length() + 7) // 8
+
+    def unpack(key: int) -> list[int]:
+        raw = key.to_bytes(n * size, "little")
+        return [int.from_bytes(raw[at:at + size], "little") for at in range(0, n * size, size)]
+
+    return 8 * size, unpack
+
+
 def _search(
     inst: Instance, reference_owner: Mapping[int, int] | None, budget: int
 ) -> tuple[int, Allocation]:
@@ -58,18 +83,28 @@ def _search(
     Best means highest product, then (when reference_owner, a map from goods
     to agents, is given) most goods where the reference put them, then the
     lexicographically least owner vector. After g goods, each value vector,
-    packed w bits per agent, keeps the least score mismatches * n**g + (owner
-    digits in base n) among the prefixes reaching it. Prefixes reaching the
-    same vector have the same completions, so this loses no optimum and no
-    tie-break. The last good is scored on the fly, so the largest layer is
-    never stored. When n^m exceeds the budget, BudgetExceededError is raised
-    first.
+    packed in whole-byte lanes that hold q*m (_lanes), keeps the least score
+    S = mismatches * n**g + (owner digits in base n) among the prefixes
+    reaching it. Prefixes reaching the same vector have the same
+    completions, so this loses no optimum and no tie-break.
+
+    The last good is scored on the fly, so the largest layer is never
+    stored. A stored vector v is unpacked once and gets one product P; giving
+    the good to agent a, worth x_a to it, would score S*n + add_a. If P > 0,
+    agent a reaches P // v_a * (v_a + x_a), which is largest where x_a / v_a
+    is, so the ratios are compared by cross-multiplying; equal ratios give
+    equal products, and the least add among them wins. If P = 0 and exactly
+    one agent j is at 0, only j can lift the product, to prod(v_i, i != j) *
+    x_j, and it takes the good when that is not 0. Otherwise every candidate
+    reaches the same product and the least add wins. This is the (highest
+    product, least score) pair of the n candidates. When n^m exceeds the
+    budget, BudgetExceededError is raised first.
     """
     n, m = inst.n, inst.m
     _check_budget(n, m, budget)
     if m == 0:
         return 0, Allocation.from_owners(n, [])
-    w = (inst.q * m).bit_length()
+    w, unpack = _lanes(n, inst.q * m)
     moves = []  # per good and owner: (owner, value, score increment)
     for g in range(m):
         miss = n ** (g + 1)
@@ -91,17 +126,35 @@ def _search(
                 if keep(k, s) > s:
                     nxt[k] = s
         layer = nxt
-    mask = (1 << w) - 1
+    # the last good: one unpack and one product per stored vector
+    last = moves[-1]
+    by_add = sorted(last, key=lambda move: move[2])
+    least = by_add[0][2]  # the add that wins when every candidate ties
+    gainers = [move for move in by_add if move[1]]
     best_prod, best_score = -1, 0
     for key, score in layer.items():
-        values = [key >> a * w & mask for a in range(n)]
-        for a, value, add in moves[-1]:
-            values[a] += value
-            product = math.prod(values)
-            values[a] -= value
-            s = score * n + add
-            if product > best_prod or (product == best_prod and s < best_score):
-                best_prod, best_score = product, s
+        values = unpack(key)
+        product = math.prod(values)
+        add = least
+        if product:
+            # the largest x_a / v_a, by cross-multiplying, and the least add among equals;
+            # with no gainer the ratio stays 0 and the product P
+            top_v, top_x = 1, 0
+            for a, x, ad in gainers:
+                v = values[a]
+                if x * top_v > top_x * v:
+                    top_v, top_x, add = v, x, ad
+            product = product // top_v * (top_v + top_x)
+        else:
+            values = list(values)
+            if values.count(0) == 1:  # only the agent at 0 can lift the product
+                j = values.index(0)
+                values[j] = last[j][1]
+                if values[j]:
+                    product, add = math.prod(values), last[j][2]
+        s = score * n + add
+        if product > best_prod or (product == best_prod and s < best_score):
+            best_prod, best_score = product, s
     owners = []
     for _ in range(m):
         best_score, a = divmod(best_score, n)
@@ -137,14 +190,14 @@ def optimum_product(inst: Instance, *, budget: int = DEFAULT_BUDGET) -> int:
     Those vectors are what the DP builds. It takes the big goods in index
     order and gives each one to an agent that values it big, or to the pool
     when some agent values it small (a good every agent values big is
-    received big wherever it goes). A vector is packed into one int, the
-    same whole number of bytes per agent. Agents with equal big sets are
-    interchangeable, so within each such class the loads are kept
-    non-increasing in index order: a good may go to an agent only if it is
-    the first of its class or the class member just before it holds strictly
-    more. The sorted form of every vector a good can lead to is still
-    reached, since adding one to the first member of a class at some load
-    keeps the class sorted. The stored vectors number at most the product
+    received big wherever it goes). A vector is packed into one int, in
+    whole-byte lanes that hold the largest big set (_lanes). Agents with
+    equal big sets are interchangeable, so within each such class the loads
+    are kept non-increasing in index order: a good may go to an agent only
+    if it is the first of its class or the class member just before it
+    holds strictly more. The sorted form of every vector a good can lead to
+    is still reached, since adding one to the first member of a class at
+    some load keeps the class sorted. The stored vectors number at most the product
     over agents of (|big set| + 1). As the pool takes only goods some agent
     values small, each stored vector is also the big-load vector of an
     allocation of the goods seen so far, so they never outnumber the n^m
@@ -157,11 +210,8 @@ def optimum_product(inst: Instance, *, budget: int = DEFAULT_BUDGET) -> int:
     """
     n, m, p, q = inst.n, inst.m, inst.p, inst.q
     _check_budget(n, m, budget)
-    # whole bytes per load, so a vector unpacks in one memoryview cast; no
-    # load exceeds its agent's big set
-    most = max(map(len, inst.big_sets))
-    width = next(k for k in (1, 2, 4, 8) if most < 1 << 8 * k)
-    w = 8 * width
+    # no load exceeds its agent's big set
+    w, unpack = _lanes(n, max(map(len, inst.big_sets)))
     mask = (1 << w) - 1
     last: dict[frozenset[int], int] = {}  # the last agent seen with each big set
     prev = []  # the class member just before each agent, or -1 for the first
@@ -181,11 +231,8 @@ def optimum_product(inst: Instance, *, budget: int = DEFAULT_BUDGET) -> int:
                 if key >> before_at & mask > key >> at & mask:
                     nxt.add(key + inc)
         layer = nxt
-    code = {1: "B", 2: "H", 4: "I", 8: "Q"}[width]
     best = 0
-    for loads in {
-        tuple(sorted(memoryview(key.to_bytes(n * width, sys.byteorder)).cast(code))) for key in layer
-    }:
+    for loads in {tuple(sorted(unpack(key))) for key in layer}:
         values = [q * load for load in loads]
         left = m - sum(loads)
         rounds = _fill_levels(loads, q, p)

@@ -26,10 +26,10 @@ from nsw2v import (
     state_count,
     two_value_approx,
 )
-from nsw2v.oracle import optimum_product
+from nsw2v.oracle import _lanes, optimum_product
 from nsw2v.prng import random_instance, splitmix64
 
-from _fixtures import all_optima, brute_best, example1, line_graph_paths, overlap_with
+from _fixtures import all_optima, brute_best, example1, line_graph_paths, overlap_with, raw_values
 
 
 # ------------------------------------------------------------------ exact search
@@ -146,6 +146,98 @@ def test_optimum_product_with_one_agent_takes_every_good():
     # every big good is big for the only agent, so none is pooled and the search keeps one vector
     inst = Instance(1, 100_000, 1, 2, (frozenset(range(0, 100_000, 2)),))
     assert optimum_product(inst) == 2 * 50_000 + 50_000
+
+
+def _owners(alloc: Allocation, m: int) -> tuple[int, ...]:
+    owner_of = alloc.owner_of()
+    return tuple(owner_of[g] for g in range(m))
+
+
+def _closest(optima, reference: Allocation) -> tuple[int, ...]:
+    """The least optimum among those keeping the most goods where the reference put them."""
+    top = max(overlap_with(o, reference.bundles) for o in optima)
+    return next(o for o in optima if overlap_with(o, reference.bundles) == top)
+
+
+def _last_good_branches(inst: Instance, owners, reference_owner=None) -> set[str]:
+    """The scoring branches the last good of a winning owner vector goes through."""
+    n, m = inst.n, inst.m
+    hits = {name for name, hit in (("n = 1", n == 1), ("m = 1", m == 1)) if hit}
+    if m == 0:
+        return hits
+    before = raw_values(inst, owners[:-1])
+    zeros = [a for a in range(n) if before[a] == 0]
+    hits.add(("no agent", "one agent", "two or more agents")[min(len(zeros), 2)] + " at 0")
+    if len(zeros) == 1 and inst.value(zeros[0], m - 1) == 0:
+        hits.add("last good worth 0 to the agent at 0")
+    products = [math.prod(raw_values(inst, (*owners[:-1], a))) for a in range(n)]
+    chosen = owners[-1]
+    tied_below = products.index(products[chosen]) < chosen
+    if reference_owner is not None and reference_owner.get(m - 1) == chosen and tied_below:
+        hits.add("reference agent over a lower-index tie")
+    return hits
+
+
+def test_both_searches_match_brute_force_in_every_last_good_branch():
+    # the last good is scored on each stored vector from one product: by the largest
+    # value-to-load ratio when no agent is at 0, else by the agent at 0 alone
+    stream = splitmix64(0x1A57)
+    hits: Counter[str] = Counter()
+    for _ in range(300):
+        n = 1 + next(stream) % 5
+        m = next(stream) % (min(_BRUTE_GOODS[n], 6) + 1)
+        q = 2 + next(stream) % 8
+        p = next(stream) % q if next(stream) % 2 else 0
+        inst = random_instance(n, m, p, q, Fraction(next(stream) % 5, 4), next(stream))
+        product, witness = exact_optimum(inst)
+        assert (product.product, _owners(witness, m)) == brute_best(inst), inst
+        optima = all_optima(inst)
+        hits.update(_last_good_branches(inst, optima[0]))
+        partial = [set() for _ in range(n)]
+        for g in range(m):
+            if next(stream) % 3:
+                partial[next(stream) % n].add(g)
+        references = [solve_dichotomous(inst), Allocation(partial)]
+        if p and m >= n:
+            references.append(two_value_approx(inst))
+        for reference in references:
+            expect = _closest(optima, reference)
+            assert _owners(closest_optimum(inst, reference), m) == expect, (inst, reference)
+            hits.update(_last_good_branches(inst, expect, reference.owner_of()))
+    assert set(hits) == {
+        "n = 1", "m = 1", "no agent at 0", "one agent at 0", "two or more agents at 0",
+        "last good worth 0 to the agent at 0", "reference agent over a lower-index tie",
+    }, hits
+
+
+# q with m = 3 puts q*m, the largest value a lane holds, just below a lane limit and just
+# past it; past 64 bits a lane is read as whole bytes with int.from_bytes
+@pytest.mark.parametrize("q, width", [
+    ((2**8 - 1) // 3, 8), ((2**8 + 2) // 3, 16),
+    ((2**16 - 1) // 3, 16), ((2**16 + 2) // 3, 32),
+    ((2**32 - 1) // 3, 32), ((2**32 + 2) // 3, 64),
+    ((2**64 - 1) // 3, 64), ((2**64 + 2) // 3, 72),
+    (10**400, 8 * 167),
+])
+def test_both_searches_match_brute_force_at_every_lane_width(q, width):
+    assert _lanes(3, 3 * q)[0] == width
+    for p in (0, 1, q - 1):
+        for sets in (({0, 1}, {1}, set()), ({2}, {0, 1, 2}, {0})):
+            inst = Instance(3, 3, p, q, tuple(map(frozenset, sets)))
+            product, witness = exact_optimum(inst)
+            assert (product.product, _owners(witness, 3)) == brute_best(inst)
+            reference = solve_dichotomous(inst)
+            assert _owners(closest_optimum(inst, reference), 3) == _closest(all_optima(inst), reference)
+
+
+@pytest.mark.parametrize("largest, width", [
+    (0, 8), (2**8 - 1, 8), (2**8, 16), (2**16, 32), (2**32, 64), (2**64 - 1, 64), (2**64, 72),
+    (10**400, 8 * 167),
+])
+def test_a_lane_holds_its_largest_value(largest, width):
+    w, unpack = _lanes(3, largest)
+    assert w == width
+    assert list(unpack(largest | largest << 2 * w)) == [largest, 0, largest]
 
 
 def test_state_count_shrinks_under_grouping():
