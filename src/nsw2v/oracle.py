@@ -9,8 +9,11 @@ optimum_product, which ratio uses, needs no witness: it searches the vectors
 of big-good loads instead and fills each with the small goods as phase 2
 does. Both searches pack a vector into one int by one lane rule, _lanes:
 whole-byte lanes sized from the largest value a lane holds, unpacked in one
-memoryview cast up to 64 bits and lane by lane past that. All three first
-refuse an instance whose n^m assignments exceed the budget. Transformation
+memoryview cast up to 64 bits and lane by lane past that. When p >= 1 and
+m >= n, every optimum gives each agent a good, so the value search drops the
+prefixes that leave more agents empty than goods remain, from good m - n + 1
+on. All three first refuse an instance whose n^m assignments exceed the
+budget, a count no dropped prefix changes. Transformation
 graphs describe how two allocations differ, edge by edge, with each good
 labelled by its size class for the two owners.
 """
@@ -97,8 +100,24 @@ def _search(
     one agent j is at 0, only j can lift the product, to prod(v_i, i != j) *
     x_j, and it takes the good when that is not 0. Otherwise every candidate
     reaches the same product and the least add wins. This is the (highest
-    product, least score) pair of the n candidates. When n^m exceeds the
-    budget, BudgetExceededError is raised first.
+    product, least score) pair of the n candidates.
+
+    The empty-agent rule. When p >= 1 and m >= n, every optimum gives every
+    agent a good: OPT >= p^n > 0, while an allocation leaving an agent
+    empty has product 0. An agent is empty when its lane is 0, so emptiness
+    is a function of the vector, and once good g is placed a vector with
+    more than left = m - g - 1 agents empty is dead: every prefix reaching
+    it completes only to product 0 < OPT. Dropping it loses no maximum,
+    witness or tie-break. So a popped vector with e empty lanes, e counted
+    once, gives good g only to its empty agents when e == left + 1 (one
+    agent short) and to every agent when e <= left. Up to good m - n, left + 1 >= n, so only
+    the empty vector at good 0 could be short, and its empty agents are all
+    of them: those layers count nothing and run as without the rule. From
+    good m - n + 1 on no popped vector has e > left + 1: at that good some
+    agent already holds a good, and after it the layer before kept none.
+    The rule is off when p == 0 or m < n, where OPT may be 0. When n^m
+    exceeds the budget, BudgetExceededError is raised first; the rule
+    changes neither that count nor the budget's meaning.
     """
     n, m = inst.n, inst.m
     _check_budget(n, m, budget)
@@ -113,15 +132,31 @@ def _search(
              a + miss * (reference_owner is not None and reference_owner.get(g) != a))
             for a in range(n)
         ])
+    # the empty-agent rule (see above) from good first on: (key & low) + low carries into a
+    # lane's top bit just when the lane's other bits are not all 0, so
+    # ((key & low) + low | key) & high holds the top bit of each lane that is not 0
+    first = m - n + 1 if inst.p >= 1 and m >= n else m
+    tops = [1 << a * w + w - 1 for a in range(n)]
+    high = sum(tops)
+    low = ((1 << n * w) - 1) ^ high
     layer = {0: 0}
     for g in range(m - 1):
         nxt: dict[int, int] = {}
         keep = nxt.setdefault
         steps = [(value << a * w, add) for a, value, add in moves[g]]
+        need = n - (m - g - 1) if g >= first else 0  # the agents holding a good once g is placed
+        short: dict[int, list[tuple[int, int]]] = {}  # per held lanes one short: the empty agents' steps
         while layer:  # popping frees the old layer while the new one grows
             key, score = layer.popitem()
+            go = steps
+            if need:
+                held = ((key & low) + low | key) & high
+                if held.bit_count() < need:  # one agent short: only the empty agents take g
+                    go = short.get(held)
+                    if go is None:
+                        go = short[held] = [step for step, top in zip(steps, tops) if not held & top]
             base = score * n
-            for inc, add in steps:
+            for inc, add in go:
                 k, s = key + inc, base + add
                 if keep(k, s) > s:
                     nxt[k] = s

@@ -2,6 +2,8 @@
 
 import itertools
 import math
+import subprocess
+import sys
 from collections import Counter
 from fractions import Fraction
 
@@ -208,6 +210,94 @@ def test_both_searches_match_brute_force_in_every_last_good_branch():
         "n = 1", "m = 1", "no agent at 0", "one agent at 0", "two or more agents at 0",
         "last good worth 0 to the agent at 0", "reference agent over a lower-index tie",
     }, hits
+
+
+def _empty_rule_branches(inst: Instance, owners) -> set[str]:
+    """The branches of the empty-agent rule that a winning owner vector goes through.
+
+    With p >= 1 and m >= n, after good g at most m - g - 1 agents may hold
+    nothing; the first good that can break that is m - n + 1, and the last
+    good is scored apart.
+    """
+    n, m = inst.n, inst.m
+    if inst.p == 0 or m < n:
+        return {"rule off: p = 0" if inst.p == 0 else "rule off: m < n"}
+    hits = {f"m - n = {m - n}"}
+    held = set(owners[:m - n + 1])
+    for g in range(m - n + 1, m - 1):
+        empty, left = n - len(held), m - g - 1
+        if empty == left + 1:
+            hits.add("as many agents empty as goods remain: an empty agent takes g")
+        elif empty == left and owners[g] in held:
+            hits.add("one agent fewer empty: a holder takes g")
+        held.add(owners[g])
+    return hits
+
+
+def test_both_searches_match_brute_force_where_every_agent_needs_a_good():
+    # with p >= 1 and m >= n every optimum gives each agent a good, so the search drops
+    # the prefixes with more agents empty than goods left; m - n of 0 to 2 make those
+    # prefixes most of every layer
+    shapes = [(n, n + d) for n in range(1, 7) for d in range(3) if n ** (n + d) <= 50_000]
+    shapes += [(2, 1), (3, 2), (4, 3), (5, 3)]  # m < n: the rule is off
+    stream = splitmix64(0xE11)
+    hits: Counter[str] = Counter()
+    for n, m in shapes:
+        for trial in range(max(1, min(24, 50_000 // n ** m))):
+            # a shape's second trial puts q*m past 2^64, where lanes are read as whole bytes
+            q = 2**64 // m + 1 if trial == 1 else 2 + next(stream) % 8
+            p = 0 if trial % 4 == 3 else 1 + next(stream) % (q - 1)
+            inst = random_instance(n, m, p, q, Fraction(next(stream) % 5, 4), next(stream))
+            product, witness = exact_optimum(inst)
+            optima = all_optima(inst)
+            assert (product.product, _owners(witness, m)) == brute_best(inst), inst
+            hits.update(_empty_rule_branches(inst, optima[0]))
+            if q * m >= 2**64:
+                hits["q*m past 2^64"] += 1
+            partial = [set() for _ in range(n)]
+            for g in range(m):
+                if next(stream) % 3:
+                    partial[next(stream) % n].add(g)
+            references = [solve_dichotomous(inst), Allocation(partial)]
+            if p and m >= n:
+                references.append(two_value_approx(inst))
+            for reference in references:
+                expect = _closest(optima, reference)
+                assert _owners(closest_optimum(inst, reference), m) == expect, (inst, reference)
+                hits.update(_empty_rule_branches(inst, expect))
+    assert set(hits) == {
+        "m - n = 0", "m - n = 1", "m - n = 2", "rule off: p = 0", "rule off: m < n", "q*m past 2^64",
+        "as many agents empty as goods remain: an empty agent takes g", "one agent fewer empty: a holder takes g",
+    }, hits
+
+
+@pytest.mark.parametrize("n", [8, 9])
+def test_exact_optimum_matches_the_load_search_at_n_equal_m(n):
+    # with p >= 1 and n = m every optimum gives each agent one good, so the value search
+    # keeps only prefixes that can still do that; optimum_product, the independent
+    # derivation, searches big-good load vectors
+    for seed in range(3):
+        inst = random_instance(n, n, 5, 7, Fraction(1, 4), seed)
+        assert exact_optimum(inst, budget=n**n)[0].product == optimum_product(inst, budget=n**n)
+
+
+def test_exact_optimum_at_n_equal_m_10_runs_in_200_mb():
+    # 10^10 assignments; keeping the prefixes that leave more agents empty than goods
+    # remain, the value search raised MemoryError under a 1 GB cap
+    resource = pytest.importorskip("resource")
+    cap = 200 << 20
+    check = (
+        "from fractions import Fraction\n"
+        "from nsw2v import exact_optimum\n"
+        "from nsw2v.oracle import optimum_product\n"
+        "from nsw2v.prng import random_instance\n"
+        "inst = random_instance(10, 10, 5, 7, Fraction(1, 4), 1)\n"
+        "assert exact_optimum(inst, budget=10**10)[0].product == optimum_product(inst, budget=10**10)\n"
+    )
+    subprocess.run(
+        [sys.executable, "-c", check], check=True, timeout=60,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
+    )
 
 
 # q with m = 3 puts q*m, the largest value a lane holds, just below a lane limit and just
