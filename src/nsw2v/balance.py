@@ -30,18 +30,17 @@ class LocalSearchInvariantError(RuntimeError):
     """
 
 
-def _fill_levels(loads: Iterable[int], q: int, p: int) -> Iterator[list[int]]:
-    """Phase 2's value levels: yield, round after round, the agents the next handouts go to.
+def _fill_levels(loads: Iterable[int], q: int, p: int) -> Iterator[int]:
+    """Phase 2's stream of handouts: yield, one per good of value p, the agent it goes to.
 
     Agent i starts at value q * loads[i]; the loads are read when the first
-    round is asked for. Agents with equal values form a level; the levels sit
+    agent is asked for. Agents with equal values form a level; the levels sit
     in a heap keyed by value, each holding its agents in ascending index
-    order. Each round yields the lowest level: the caller hands one good of
-    value p to each of its agents in that order, or to a prefix of them when
-    the goods run out. This is what a (value, index) heap would do one good
-    at a time, since each agent fed rises by p, above every agent left at
-    that level. The level then moves up by p, merging with a level already
-    there. The rounds never end, so the caller stops when its goods do.
+    order. The lowest level is yielded agent by agent in that order, which is
+    what a (value, index) heap would do one good at a time, since each agent
+    fed rises by p, above every agent left at that level. The level then
+    moves up by p, merging with a level already there. The stream never
+    ends, so the caller takes as many agents as it has goods.
     """
     levels: dict[int, list[int]] = {}
     for i, load in enumerate(loads):
@@ -51,7 +50,7 @@ def _fill_levels(loads: Iterable[int], q: int, p: int) -> Iterator[list[int]]:
     while True:
         value = heapq.heappop(heap)
         agents = levels.pop(value)
-        yield agents
+        yield from agents
         if value + p in levels:
             levels[value + p] = sorted(levels[value + p] + agents)
         else:
@@ -62,27 +61,22 @@ def _fill_levels(loads: Iterable[int], q: int, p: int) -> Iterator[list[int]]:
 def _assign_small(inst: Instance, bundles: list[set[int]]) -> None:
     """phase2_assign_small on working sets, in place; they must be disjoint and non-wasteful.
 
-    The small goods, in index order, are zipped onto the rounds of
+    The small goods, in index order, are zipped onto the stream of
     _fill_levels, started from the bundle sizes.
     """
-    goods = iter(sorted(inst.small_goods))
-    left = len(inst.small_goods)
-    rounds = _fill_levels(map(len, bundles), inst.q, inst.p)
-    while left > 0:
-        agents = next(rounds)
-        for i, g in zip(agents, goods):  # zip stops at the last agent without taking a good
-            bundles[i].add(g)
-        left -= len(agents)
+    stream = _fill_levels(map(len, bundles), inst.q, inst.p)
+    for g, i in zip(sorted(inst.small_goods), stream):  # goods first: no handout past the last
+        bundles[i].add(g)
 
 
 def phase2_assign_small(inst: Instance, alloc: Allocation) -> Allocation:
     """Give each globally-small good, in index order, to a poorest agent (ties: lowest index).
 
-    The input is validated once and then filled by value levels: agents of
-    equal value take the next goods together, in ascending index order, and
-    move up by p as a group, merging with any group that already sits there.
-    A non-wasteful input holds only goods big for their holders, so each
-    start value is q times the bundle size.
+    The input is validated once, and the goods are then zipped onto one
+    stream of agents, one per handout: agents of equal value take the next
+    goods in ascending index order and move up by p as a group, merging with
+    any group that already sits there. A non-wasteful input holds only goods
+    big for their holders, so each start value is q times the bundle size.
     """
     if inst.p == 0:
         raise ZeroSmallValueError("greedy completion needs p >= 1")

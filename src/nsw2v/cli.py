@@ -114,7 +114,7 @@ def _cmd_gen(args: argparse.Namespace) -> None:
     if args.m < args.n:
         raise GoodsFewerThanAgentsError(f"need m >= n, got m={args.m}, n={args.n}")
     # the parsers refuse a larger m, so refuse it here before the n*m draws
-    core._check_good_count(args.m)
+    core._check_counts(args.n, args.m, "agent")
     big_prob = core.parse_rational(args.big_prob)
     rows = prng.random_big_rows(args.n, args.m, big_prob, args.seed)
     p, q = core._check_shape(args.n, args.m, args.p, args.q)

@@ -19,7 +19,7 @@ from typing import Iterable, Iterator, Sequence
 
 INSTANCE_MAGIC = "nsw2v 1"
 ALLOCATION_MAGIC = "alloc 1"
-# the largest good count a file may declare; the solver and validation do O(m) work
+# the largest good or agent count a file may declare; the solver and validation do O(n + m) work
 MAX_GOODS = 10**6
 # the most (agent, good) pairs prng.random_big_sets draws, one stream value each
 MAX_PAIRS = 10**7
@@ -326,9 +326,12 @@ def _records(body: list[str], count: int, what: str) -> list[list[int]]:
     return [_int_fields(line, f"{what} {i}") for i, line in enumerate(lines)]
 
 
-def _check_good_count(m: int) -> None:
+def _check_counts(n: int, m: int, what: str) -> None:
+    """Refuse a declared good count m, or a count n of what (agents or bundles), past MAX_GOODS."""
     if m > MAX_GOODS:
         raise ParseError(f"good count {m} exceeds the limit of {MAX_GOODS}")
+    if n > MAX_GOODS:
+        raise ParseError(f"{what} count {n} exceeds the limit of {MAX_GOODS}")
 
 
 def _record_lines(magic: str, header: Sequence[object], records: Iterable[Sequence]) -> Iterator[str]:
@@ -353,7 +356,7 @@ def _write_records(magic: str, header: Sequence[object], records: Iterable[Seque
 
 def parse_instance(text: str) -> Instance:
     (n, m, p, q), body = _read_header(text, INSTANCE_MAGIC, "n m p q")
-    _check_good_count(m)
+    _check_counts(n, m, "agent")
     big_sets = _records(body, n, "agent")
     try:
         return Instance(n, m, p, q, big_sets)
@@ -369,7 +372,7 @@ def serialize_instance(inst: Instance) -> str:
 def parse_allocation(text: str) -> tuple[Allocation, int]:
     """Parse an allocation file; returns the allocation and the declared good count."""
     (n, m), body = _read_header(text, ALLOCATION_MAGIC, "n m")
-    _check_good_count(m)
+    _check_counts(n, m, "bundle")
     if n < 1 or m < 0:
         raise ParseError(f"need at least one bundle and m >= 0, got n={n}, m={m}")
     bundles = _records(body, n, "bundle")

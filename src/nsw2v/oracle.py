@@ -24,6 +24,7 @@ import math
 import sys
 from collections import Counter
 from dataclasses import dataclass
+from itertools import islice
 from typing import Callable, Mapping, Sequence
 
 from .balance import _check_solvable, _fill_levels, two_value_approx
@@ -237,8 +238,9 @@ def optimum_product(inst: Instance, *, budget: int = DEFAULT_BUDGET) -> int:
     values small, each stored vector is also the big-load vector of an
     allocation of the goods seen so far, so they never outnumber the n^m
     assignments the budget caps. fill is symmetric in the agents, so each
-    distinct sorted load multiset is filled once, through phase 2's level
-    rounds (balance._fill_levels), in exact integers. There is no float.
+    distinct sorted load multiset is filled once, by taking the first
+    m - sum(loads) agents of phase 2's stream (balance._fill_levels), in
+    exact integers. There is no float.
 
     BudgetExceededError is raised first when n^m exceeds the budget, with
     the message exact_optimum gives.
@@ -269,13 +271,8 @@ def optimum_product(inst: Instance, *, budget: int = DEFAULT_BUDGET) -> int:
     best = 0
     for loads in {tuple(sorted(unpack(key))) for key in layer}:
         values = [q * load for load in loads]
-        left = m - sum(loads)
-        rounds = _fill_levels(loads, q, p)
-        while left > 0:
-            agents = next(rounds)
-            for i in agents[:left]:
-                values[i] += p
-            left -= len(agents)
+        for i in islice(_fill_levels(loads, q, p), m - sum(loads)):
+            values[i] += p
         best = max(best, math.prod(values))
     return best
 

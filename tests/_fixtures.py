@@ -7,6 +7,7 @@ always compared against a second derivation, not against themselves.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 from collections import deque
@@ -249,6 +250,18 @@ def scan_phase2(inst: Instance, bundles) -> tuple[frozenset[int], ...]:
         bundles[poorest].add(g)
         values[poorest] += inst.p
     return tuple(frozenset(b) for b in bundles)
+
+
+def heap_fill(loads, q: int, p: int, count: int) -> list[int]:
+    """Phase 2's first count handouts one good at a time: feed the least (value, index), then push it back."""
+    heap = [(q * load, i) for i, load in enumerate(loads)]
+    heapq.heapify(heap)
+    agents = []
+    for _ in range(count):
+        value, i = heapq.heappop(heap)
+        agents.append(i)
+        heapq.heappush(heap, (value + p, i))
+    return agents
 
 
 def scan_validate(inst: Instance, alloc) -> ValidationReport:

@@ -20,12 +20,14 @@ from nsw2v import (
     validate_allocation,
     valuation_profile,
 )
+from nsw2v.balance import _fill_levels
 from nsw2v.prng import random_instance, splitmix64
 
 from _fixtures import (
     brute_best,
     example1,
     four_check_phase3,
+    heap_fill,
     lopsided_start,
     raw_values,
     scan_phase2,
@@ -91,6 +93,33 @@ def test_phase2_matches_the_scan_reference():
     assert any(any(not b for b in inst.big_sets) and inst.big_goods for inst in cases)
     assert any(len(inst.small_goods) >= 20 * inst.n and inst.n >= 8 for inst in cases)
     assert any(inst.q % inst.p and len(inst.small_goods) > 3 * inst.n for inst in cases)
+
+
+def test_fill_levels_matches_a_one_good_heap_at_every_prefix():
+    stream = splitmix64(2718)
+    merged = 0  # handouts that bring an agent level with one of another start load
+    for k in range(400):
+        n = 1 + next(stream) % 7
+        big = 2**64 if k % 2 else 1  # q past 2^64 in every other case
+        a, b = 1 + next(stream) % 4, 2 + next(stream) % 3
+        kind = k // 2 % 4
+        if kind == 3:  # p divides q, so levels meet every q / p handouts
+            p, q = big * a, big * a * b
+        else:  # p = 1, p = q - 1, or any p between
+            q = big * a * b + 1
+            p = (1, q - 1, 1 + next(stream) * next(stream) % (q - 1))[kind]
+        loads = [next(stream) % 4 for _ in range(n)]  # few loads, so start values tie
+        count = 3 * n + next(stream) % (4 * n)
+        want = heap_fill(loads, q, p, count)
+        # each prefix from a fresh stream: a consumer may stop partway through a level
+        for length in range(count + 1):
+            assert list(itertools.islice(_fill_levels(loads, q, p), length)) == want[:length]
+        values = [q * load for load in loads]
+        for i in want:
+            values[i] += p
+            merged += any(values[j] == values[i] and loads[j] != loads[i] for j in range(n))
+    assert merged > 100
+
 
 def test_phase2_small_good_holders_stay_within_p_of_the_minimum():
     stream = splitmix64(31)

@@ -372,6 +372,25 @@ def test_exit_code_parse_failure_for_a_huge_good_count(example1_file, tmp_path, 
     ]
 
 
+def test_exit_code_parse_failure_for_a_huge_agent_count(example1_file, tmp_path, capsys):
+    # 10^6 + 1 blank agent lines and m = 0: the parser refuses n before building any big set
+    huge = tmp_path / "huge_n.nsw"
+    huge.write_text("nsw2v 1\n1000001 0 1 2\n" + "\n" * 1000001, encoding="utf-8")
+    huge_alloc = tmp_path / "huge_n.alloc"
+    huge_alloc.write_text("alloc 1\n1000001 5\n" + "\n" * 1000001, encoding="utf-8")
+    small_alloc = tmp_path / "small.alloc"
+    small_alloc.write_text("alloc 1\n1 1\n0\n", encoding="utf-8")
+    for argv in (["solve", str(huge)], ["exact", str(huge)], ["ratio", str(huge)],
+                 ["check", str(huge), str(small_alloc)]):
+        assert cli.main(argv) == cli.EXIT_PARSE
+    assert cli.main(["check", example1_file, str(huge_alloc)]) == cli.EXIT_PARSE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "error: agent count 1000001 exceeds the limit of 1000000",
+    ] * 4 + ["error: bundle count 1000001 exceeds the limit of 1000000"]
+
+
 def test_gen_refuses_more_pairs_than_the_limit_before_drawing(monkeypatch, capsys):
     # n = m = 10^6 passes both size checks; its 10^12 draws would run for days
     def no_block(seed, start, count, threshold):

@@ -20,6 +20,7 @@ from nsw2v import (
     validate_allocation,
     valuation_profile,
 )
+import nsw2v.core as core
 import nsw2v.prng as prng
 from nsw2v.core import (
     ALLOCATION_MAGIC, MAX_GOODS, MAX_PAIRS, _record_lines, format_rational, parse_rational,
@@ -400,6 +401,28 @@ def test_parse_instance_rejects_malformed(text):
 def test_parse_accepts_a_good_count_at_the_limit():
     assert parse_instance(f"nsw2v 1\n1 {MAX_GOODS} 1 2\n\n").m == MAX_GOODS
     assert parse_allocation(f"alloc 1\n1 {MAX_GOODS}\n\n")[1] == MAX_GOODS
+
+
+def test_parse_refuses_an_agent_count_past_the_limit_before_any_record():
+    # the record line "x" raises its own error if it is converted first
+    with pytest.raises(ParseError, match=f"^agent count {MAX_GOODS + 1} exceeds the limit of {MAX_GOODS}$"):
+        parse_instance(f"nsw2v 1\n{MAX_GOODS + 1} {MAX_GOODS} 1 2\nx\n")
+    with pytest.raises(ParseError, match=f"^bundle count {MAX_GOODS + 1} exceeds the limit of {MAX_GOODS}$"):
+        parse_allocation(f"alloc 1\n{MAX_GOODS + 1} 5\nx\n")
+    # with both counts too large the good count is reported, as before the agent limit
+    with pytest.raises(ParseError, match="^good count"):
+        parse_instance(f"nsw2v 1\n{MAX_GOODS + 1} {MAX_GOODS + 1} 1 2\n")
+
+
+def test_parse_accepts_an_agent_count_at_the_limit(monkeypatch):
+    # a smaller limit stands in for 10^6 blank agent lines
+    monkeypatch.setattr(core, "MAX_GOODS", 2)
+    assert parse_instance("nsw2v 1\n2 2 1 2\n0\n1\n").n == 2
+    assert parse_allocation("alloc 1\n2 2\n0\n1\n")[0].n == 2
+    with pytest.raises(ParseError, match="^agent count 3 exceeds the limit of 2$"):
+        parse_instance("nsw2v 1\n3 2 1 2\n\n\n\n")
+    with pytest.raises(ParseError, match="^bundle count 3 exceeds the limit of 2$"):
+        parse_allocation("alloc 1\n3 2\n\n\n\n")
 
 
 def test_allocation_round_trip():
