@@ -28,6 +28,8 @@ MAX_PAIRS = 10**7
 MAX_EXPONENT = 4300
 # the most fields of one record line formatted at once; a longer line is written in slices
 _ROW_SLICE = 4096
+# the line boundaries of str.splitlines, "\r\n" first so that it is one boundary
+_LINE_BREAK = re.compile("\r\n|[\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]")
 
 
 class ParseError(ValueError):
@@ -297,32 +299,43 @@ def _int_fields(line: str, what: str) -> list[int]:
         raise ParseError(f"{what}: expected integers, got {line!r}") from exc
 
 
-def _read_header(text: str, magic: str, fields: str = "") -> tuple[list[int], list[str]]:
-    """Check the tag line; return the integer sizes named by fields, if any, and the body lines."""
-    lines = text.splitlines()
-    if not lines or lines[0].strip() != magic:
+def _read_header(text: str, magic: str, fields: str = "") -> tuple[list[int], str]:
+    """Check the tag line; return the integer sizes named by fields, if any, and the text after them.
+
+    Only the tag and size lines are split off, at the boundaries str.splitlines
+    uses, so a caller checks the sizes before it splits the rest into lines.
+    """
+    tag, at = _line_at(text, 0)
+    if tag.strip() != magic:
         raise ParseError(f"expected {magic!r} on the first line")
     if not fields:
-        return [], lines[1:]
-    size_line = lines[1] if len(lines) > 1 else ""
+        return [], text[at:]
+    size_line, at = _line_at(text, at)
     sizes = _int_fields(size_line, "size line")
     if len(sizes) != len(fields.split()):
         raise ParseError(f"size line must hold {fields!r}, got {size_line!r}")
-    return sizes, lines[2:]
+    return sizes, text[at:]
 
 
-def _records(body: list[str], count: int, what: str) -> list[list[int]]:
-    """The integer fields of count record lines; the count must be non-negative.
+def _line_at(text: str, start: int) -> tuple[str, int]:
+    """The line of text from start up to the next str.splitlines boundary, and where the next line starts."""
+    end = _LINE_BREAK.search(text, start)
+    return (text[start:], len(text)) if end is None else (text[start:end.start()], end.end())
+
+
+def _records(body: str, count: int, what: str) -> list[list[int]]:
+    """The integer fields of count record lines of body; the count must be non-negative.
 
     Only blank lines may follow, and only the last line may be missing, reading as empty.
     """
     if count < 0:
         raise ParseError(f"{what} count must be non-negative, got {count}")
-    if any(extra.strip() for extra in body[count:]):
+    lines = body.splitlines()
+    if any(extra.strip() for extra in lines[count:]):
         raise ParseError(f"trailing content after {count} {what} lines")
-    if len(body) < count - 1:
-        raise ParseError(f"expected {count} {what} lines, got {len(body)}")
-    lines = body[:count] + [""] * (count - len(body))
+    if len(lines) < count - 1:
+        raise ParseError(f"expected {count} {what} lines, got {len(lines)}")
+    lines = lines[:count] + [""] * (count - len(lines))
     return [_int_fields(line, f"{what} {i}") for i, line in enumerate(lines)]
 
 

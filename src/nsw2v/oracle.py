@@ -12,7 +12,10 @@ whole-byte lanes sized from the largest value a lane holds, unpacked in one
 memoryview cast up to 64 bits and lane by lane past that. When p >= 1 and
 m >= n, every optimum gives each agent a good, so the value search drops the
 prefixes that leave more agents empty than goods remain, from good m - n + 1
-on. All three first refuse an instance whose n^m assignments exceed the
+on, and every vector whose real water-fill bound, each remaining good
+added at its largest value, falls below the solver's product, a floor at
+most OPT and usually equal to it.
+All three first refuse an instance whose n^m assignments exceed the
 budget, a count no dropped prefix changes. Transformation
 graphs describe how two allocations differ, edge by edge, with each good
 labelled by its size class for the two owners.
@@ -116,14 +119,39 @@ def _search(
     of them: those layers count nothing and run as without the rule. From
     good m - n + 1 on no popped vector has e > left + 1: at that good some
     agent already holds a good, and after it the layer before kept none.
-    The rule is off when p == 0 or m < n, where OPT may be 0. When n^m
-    exceeds the budget, BudgetExceededError is raised first; the rule
-    changes neither that count nor the budget's meaning.
+    The rule is off when p == 0 or m < n, where OPT may be 0.
+
+    The floor rule. When p >= 1 and m >= n, the floor F is the product of
+    two_value_approx's allocation, a complete allocation, so F <= OPT;
+    otherwise F = 0 and no vector is dropped. A vector popped at good g >= 1
+    holds goods 0..g-1 and values u_1 <= ... <= u_n, sorted. Each of goods
+    g.. adds at most its largest value to one agent: q if some agent values
+    it big, else p. So every completion gives values u_i + x_i with x_i >= 0
+    and sum(x) <= R = rest[g], the sum of those largest values. As log is
+    concave, the real water-fill bounds the product of every such
+    completion: R raises the k lowest values to one level
+    L = (S_k + R) / k, where S_k is the sum of the k lowest and k is the
+    least index with k = n or S_k + R <= k * u_(k+1), and the bound is
+    L^k * prod(u_i, i > k). The vector is dropped iff that bound is below F,
+    compared in integers: (S_k + R)^k * prod(u_i, i > k) < F * k^k. Every
+    completion of a dropped vector is below F <= OPT, so no maximum,
+    witness or tie-break is lost; a vector whose bound equals F is kept,
+    as it may complete to OPT = F. The solver is usually exact, so F is
+    usually OPT. If the search ends below F, the floor was not an
+    allocation's product, and RuntimeError is raised rather than a wrong
+    optimum returned. When n^m exceeds the budget, BudgetExceededError is
+    raised first; neither rule changes that count or the budget's meaning.
     """
     n, m = inst.n, inst.m
     _check_budget(n, m, budget)
     if m == 0:
         return 0, Allocation.from_owners(n, [])
+    # the floor rule (see above): the solver's product, at most OPT, and floor * k^k per k
+    floor = nsw_product(inst, two_value_approx(inst)).product if inst.p >= 1 and m >= n else 0
+    floors = [floor * k**k for k in range(n + 1)]
+    rest = [0] * (m + 1)  # rest[g]: the most goods g.. can add, each at its largest value
+    for g in range(m - 1, -1, -1):
+        rest[g] = rest[g + 1] + (inst.q if inst.big_for[g] else inst.p)
     w, unpack = _lanes(n, inst.q * m)
     moves = []  # per good and owner: (owner, value, score increment)
     for g in range(m):
@@ -147,8 +175,20 @@ def _search(
         steps = [(value << a * w, add) for a, value, add in moves[g]]
         need = n - (m - g - 1) if g >= first else 0  # the agents holding a good once g is placed
         short: dict[int, list[tuple[int, int]]] = {}  # per held lanes one short: the empty agents' steps
+        most = rest[g] if floor and g else 0  # 0: no vector is bounded at this good
         while layer:  # popping frees the old layer while the new one grows
             key, score = layer.popitem()
+            if most:  # drop the vector when its water-filled bound is below the floor
+                values = sorted(unpack(key))
+                total = most
+                for k, v in enumerate(values):
+                    if total <= k * v:
+                        break
+                    total += v
+                else:
+                    k = n
+                if total**k * math.prod(values[k:]) < floors[k]:
+                    continue
             go = steps
             if need:
                 held = ((key & low) + low | key) & high
@@ -191,6 +231,8 @@ def _search(
         s = score * n + add
         if product > best_prod or (product == best_prod and s < best_score):
             best_prod, best_score = product, s
+    if best_prod < floor:
+        raise RuntimeError(f"the value search ended at {best_prod}, below its floor {floor}")
     owners = []
     for _ in range(m):
         best_score, a = divmod(best_score, n)

@@ -314,7 +314,7 @@ def serialize_pdm(g: PdmInstance) -> str:
 
 
 def parse_certificate(text: str) -> LpCertificate:
-    _, lines = _read_header(text, CERT_MAGIC)
+    lines = _read_header(text, CERT_MAGIC)[1].splitlines()
     if not lines or not lines[0].startswith("alpha "):
         raise ParseError("missing 'alpha <value>' on the second line")
     try:

@@ -51,6 +51,21 @@ def all_optima(inst: Instance) -> list[tuple[int, ...]]:
     ]
 
 
+def water_fill_bound(values, amount) -> Fraction:
+    """The largest product of values after adding a real amount to them, as an exact Fraction.
+
+    The amount raises the lowest values to one level L, where the sum of
+    max(0, L - v) is the amount; L is found among the candidate levels by
+    that equation alone, and the bound is the product of max(v, L).
+    """
+    ordered = sorted(values)
+    for k in range(1, len(ordered) + 1):
+        level = Fraction(sum(ordered[:k]) + amount, k)
+        if sum(max(0, level - v) for v in ordered) == amount:
+            return math.prod(max(Fraction(v), level) for v in ordered)
+    raise AssertionError("no level spends the amount")
+
+
 def overlap_with(owners, reference_bundles) -> int:
     return sum(1 for g, a in enumerate(owners) if g in reference_bundles[a])
 

@@ -22,6 +22,7 @@ from nsw2v import (
 )
 import nsw2v.core as core
 import nsw2v.prng as prng
+import nsw2v.reductions as reductions
 from nsw2v.core import (
     ALLOCATION_MAGIC, MAX_GOODS, MAX_PAIRS, _record_lines, format_rational, parse_rational,
 )
@@ -423,6 +424,58 @@ def test_parse_accepts_an_agent_count_at_the_limit(monkeypatch):
         parse_instance("nsw2v 1\n3 2 1 2\n\n\n\n")
     with pytest.raises(ParseError, match="^bundle count 3 exceeds the limit of 2$"):
         parse_allocation("alloc 1\n3 2\n\n\n\n")
+
+
+class _Unsplittable(str):
+    """File text that fails if it is split into lines whole; its slices are plain str."""
+
+    def splitlines(self, keepends=False):
+        raise AssertionError("the whole file was split into lines")
+
+
+def test_parse_checks_the_counts_before_splitting_the_records():
+    # the tag and size lines are read first, so a huge declared count is refused before
+    # the rest of a file, 10^7 lines of "10" say, is split into a list of lines
+    with pytest.raises(ParseError, match=f"^agent count {MAX_GOODS + 1} exceeds the limit of {MAX_GOODS}$"):
+        parse_instance(_Unsplittable(f"nsw2v 1\n{MAX_GOODS + 1} 0 1 2\n10\n10\n"))
+    with pytest.raises(ParseError, match=f"^bundle count {MAX_GOODS + 1} exceeds the limit of {MAX_GOODS}$"):
+        parse_allocation(_Unsplittable(f"alloc 1\r\n{MAX_GOODS + 1} 5\r\n0\r\n"))
+    assert parse_instance(_Unsplittable("nsw2v 1\n2 5 2 3\n0 1\n0 1\n")) == example1()
+
+
+# every line boundary of str.splitlines, "\r\n" as one, and separators that are not one:
+# "\n\r" is two, and "\x1f" and "\t" are whitespace inside a line
+_BOUNDARIES = ("\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029")
+_SEPARATORS = _BOUNDARIES + ("\n\r", "\r\r\n", "\x1f", "\t", " ")
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except ParseError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("parse, lines", [
+    (parse_instance, ["nsw2v 1", "3 5 2 3", "0 1", "", "4"]),
+    (parse_allocation, ["alloc 1", "2 5", "0 2 4", "1 3"]),
+    (reductions.parse_certificate, ["lpcert 1", "alpha 1/2", "4 0 1/2", "", "0 5 1/2"]),
+])
+def test_parse_splits_lines_exactly_where_splitlines_does(parse, lines):
+    # the header lines are split off one at a time and the records with str.splitlines;
+    # each file must read as its splitlines() each ended by "\n", as when the whole file was split
+    expect = parse("\n".join(lines))
+    for sep in _BOUNDARIES:
+        assert parse(sep.join(lines)) == expect, repr(sep)
+    stream = splitmix64(0x5E9)
+    outcomes = set()
+    for cut in range(len(lines) + 1):
+        for _ in range(60):
+            text = "".join(line + _SEPARATORS[next(stream) % len(_SEPARATORS)] for line in lines[:cut])
+            outcome = _outcome(parse, text)
+            assert outcome == _outcome(parse, "".join(line + "\n" for line in text.splitlines())), repr(text)
+            outcomes.add(outcome == expect)
+    assert outcomes == {False, True}  # some texts parse as the file and some fail or differ
 
 
 def test_allocation_round_trip():

@@ -28,10 +28,13 @@ from nsw2v import (
     state_count,
     two_value_approx,
 )
+from nsw2v import oracle
 from nsw2v.oracle import _lanes, optimum_product
 from nsw2v.prng import random_instance, splitmix64
 
-from _fixtures import all_optima, brute_best, example1, line_graph_paths, overlap_with, raw_values
+from _fixtures import (
+    all_optima, brute_best, example1, line_graph_paths, overlap_with, raw_values, water_fill_bound,
+)
 
 
 # ------------------------------------------------------------------ exact search
@@ -298,6 +301,96 @@ def test_exact_optimum_at_n_equal_m_10_runs_in_200_mb():
         [sys.executable, "-c", check], check=True, timeout=60,
         preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
     )
+
+
+def test_exact_optimum_on_six_agents_and_eighteen_goods_runs_in_200_mb():
+    # 6^18 assignments: dropping every vector whose water-fill bound is below the solver's
+    # product keeps the search well under a second and 200 MB; with only the empty-agent
+    # rule, or with a looser bound, it raised MemoryError under that cap. optimum_product,
+    # the load-vector search, is the independent answer
+    resource = pytest.importorskip("resource")
+    cap = 200 << 20
+    check = (
+        "from fractions import Fraction\n"
+        "from nsw2v import exact_optimum\n"
+        "from nsw2v.oracle import optimum_product\n"
+        "from nsw2v.prng import random_instance\n"
+        "inst = random_instance(6, 18, 3, 4, Fraction(1, 3), 1)\n"
+        "best = exact_optimum(inst, budget=10**20)[0].product\n"
+        "assert best == optimum_product(inst, budget=10**20) == 2509056\n"
+    )
+    subprocess.run(
+        [sys.executable, "-c", check], check=True, timeout=60,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
+    )
+
+
+def _floor_ties(inst: Instance, floor: int, owners) -> bool:
+    """Whether a prefix of owners that the search bounds has a water-fill bound equal to the floor.
+
+    The search bounds the vectors it spreads good g from, 1 <= g <= m - 2, by
+    water-filling the most goods g.. can add, each at its largest value.
+    """
+    most = [inst.q if inst.big_for[g] else inst.p for g in range(inst.m)]
+    return any(
+        water_fill_bound(raw_values(inst, owners[:g]), sum(most[g:])) == floor
+        for g in range(1, inst.m - 1)
+    )
+
+
+def test_both_searches_match_brute_force_at_and_below_the_solvers_floor():
+    # with p >= 1 and m >= n the value search drops each vector whose water-fill bound is
+    # below the solver's product; the solver falls short of OPT on a few percent of the
+    # (2,3), (3,4) and (4,5) draws, and an optimum's prefix often meets the floor exactly
+    stream = splitmix64(0xF100)
+    hits: Counter[str] = Counter()
+    for trial in range(240):
+        p, q = ((2, 3), (3, 4), (4, 5))[trial % 3]
+        n = 2 + next(stream) % 3
+        m = n + next(stream) % (min(_BRUTE_GOODS[n], 7) - n + 1)
+        inst = random_instance(n, m, p, q, Fraction(1 + next(stream) % 3, 4), next(stream))
+        floor = nsw_product(inst, two_value_approx(inst)).product
+        product, witness = exact_optimum(inst)
+        assert (product.product, _owners(witness, m)) == brute_best(inst), inst
+        hits[f"({p},{q}) floor {'=' if floor == product.product else '<'} OPT"] += 1
+        optima = all_optima(inst)
+        partial = [set() for _ in range(n)]
+        for g in range(m):
+            if next(stream) % 3:
+                partial[next(stream) % n].add(g)
+        expected = [optima[0]]
+        for reference in (solve_dichotomous(inst), Allocation(partial), two_value_approx(inst)):
+            expected.append(_closest(optima, reference))
+            assert _owners(closest_optimum(inst, reference), m) == expected[-1], (inst, reference)
+        if any(_floor_ties(inst, floor, owners) for owners in expected):
+            hits["a kept prefix bounded exactly at the floor"] += 1
+    assert set(hits) == {
+        f"({p},{q}) floor {side} OPT" for p, q in ((2, 3), (3, 4), (4, 5)) for side in "=<"
+    } | {"a kept prefix bounded exactly at the floor"}, hits
+
+
+def test_a_vector_bounded_exactly_at_the_floor_is_kept():
+    # four goods worth 1 to both agents: the solver's 2 * 2 is OPT, and after two goods
+    # every vector's bound, two more goods water-filled, is exactly 4
+    inst = Instance(2, 4, 1, 2, (frozenset(), frozenset()))
+    assert nsw_product(inst, two_value_approx(inst)).product == 4
+    assert all(water_fill_bound(raw_values(inst, owners), 2) == 4 for owners in ((0, 0), (0, 1), (1, 1)))
+    product, witness = exact_optimum(inst)
+    assert (product.product, _owners(witness, 4)) == brute_best(inst) == (4, (0, 0, 1, 1))
+    reference = Allocation([{2, 3}, {0, 1}])
+    assert _owners(closest_optimum(inst, reference), 4) == (1, 1, 0, 0)
+
+
+def test_a_floor_above_the_optimum_fails_loudly(monkeypatch):
+    # a floor must be the product of an allocation; a "solver" handing every good to every
+    # agent beats OPT, so the search drops an optimum's prefix and must not return the rest
+    inst = Instance(3, 5, 1, 3, (frozenset({0, 1}), frozenset({1, 2}), frozenset()))
+    everything = Allocation([range(inst.m)] * inst.n)
+    monkeypatch.setattr(oracle, "two_value_approx", lambda _: everything)
+    with pytest.raises(RuntimeError, match="below its floor"):
+        exact_optimum(inst)
+    with pytest.raises(RuntimeError, match="below its floor"):
+        closest_optimum(inst, solve_dichotomous(inst))
 
 
 # q with m = 3 puts q*m, the largest value a lane holds, just below a lane limit and just
